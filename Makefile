@@ -33,8 +33,9 @@
 #                 violation hard-fails the gate (bounded: ~250 crash
 #                 points, runs in seconds);
 #   fuzz-smoke  — short fuzz passes over the archive's record decoder,
-#                 the sidecar-index decoder, and the uint256 small-value
-#                 fast paths (differential against math/big).
+#                 the sidecar-index decoder, the uint256 small-value
+#                 fast paths (differential against math/big), and the
+#                 report JSON encoder (differential against encoding/json).
 .PHONY: check build vet lint test race bench bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke
 
 check: build vet lint test race bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke
@@ -88,10 +89,14 @@ fault-smoke:
 
 # fuzz-smoke hammers the segment decoder and the sidecar-index decoder
 # with mutated bytes (no input may panic, mis-frame, or decode to a
-# record/index that re-encodes differently), and the uint256 small-value
+# record/index that re-encodes differently), the uint256 small-value
 # fast paths differentially against math/big (every arithmetic result,
-# rendering, and comparison must agree on mixed-limb operands).
+# rendering, and comparison must agree on mixed-limb operands), and the
+# append-form report encoder differentially against encoding/json
+# (random strings, amounts, floats and times: identical bytes, identical
+# failures, valid JSON that round-trips through the decode schema).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzSidecarDecode -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzUint256FastPath -fuzztime 8s ./internal/uint256
+	go test -run '^$$' -fuzz FuzzReportAppendJSON -fuzztime 8s ./internal/core

@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -367,17 +366,20 @@ func runScan(seed int64, scale, workers int, heuristic, verbose, jsonOut bool) e
 		return err
 	}
 
+	var line []byte // -json output buffer, reused across reports
 	sum, err := scan.Each(det, c.Receipts, scan.Options{Workers: workers}, func(_ int, rep *core.Report) error {
 		if !rep.IsAttack {
 			return nil
 		}
 		switch {
 		case jsonOut:
-			line, err := json.Marshal(rep)
-			if err != nil {
+			var err error
+			if line, err = rep.AppendJSON(line[:0]); err != nil {
 				return err
 			}
-			fmt.Println(string(line))
+			if _, err = os.Stdout.Write(append(line, '\n')); err != nil {
+				return err
+			}
 		case verbose:
 			fmt.Println(rep.Detail())
 		default:

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -485,5 +486,44 @@ func TestReportCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("report mutated through the archive:\n got %+v\nwant %+v", *got, want)
+	}
+}
+
+// TestAppendRecordFrameLayout pins the frame bytes appendRecord writes
+// in place against the documented layout, assembled independently:
+// [len][CRC32C(payload)][payload], payload = kind + fixed fields (+ JSON).
+func TestAppendRecordFrameLayout(t *testing.T) {
+	frame := func(payload []byte) []byte {
+		hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		hdr = binary.BigEndian.AppendUint32(hdr, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		return append(hdr, payload...)
+	}
+	rep := sampleRecord(3)
+	repPayload := append([]byte{byte(KindReport)}, rep.TxHash[:]...)
+	repPayload = binary.BigEndian.AppendUint64(repPayload, rep.Block)
+	repPayload = append(append(repPayload, rep.Flags), rep.Report...)
+	cp := &Record{Kind: KindCheckpoint, Block: 42, Digest: types.HashFromData([]byte("blk"))}
+	cpPayload := binary.BigEndian.AppendUint64([]byte{byte(KindCheckpoint)}, cp.Block)
+	cpPayload = append(cpPayload, cp.Digest[:]...)
+
+	got, err := appendRecord([]byte("head"), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = appendRecord(got, cp); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte("head"), frame(repPayload)...), frame(cpPayload)...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frames diverge from the layout:\n got: %x\nwant: %x", got, want)
+	}
+
+	for name, bad := range map[string]*Record{
+		"unknown kind": {Kind: 9},
+		"oversized":    {Kind: KindReport, Report: make([]byte, maxPayloadSize)},
+	} {
+		if out, err := appendRecord([]byte("keep"), bad); err == nil || string(out) != "keep" {
+			t.Errorf("%s: appendRecord = %q, %v; want an error and dst unextended", name, out, err)
+		}
 	}
 }

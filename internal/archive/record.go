@@ -86,38 +86,32 @@ type Record struct {
 	Digest types.Hash
 }
 
-// appendFrame frames a payload onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// appendRecord encodes r as a framed payload onto dst.
+// appendRecord frames r straight onto dst: header placeholder, payload,
+// then the length and the CRC over the payload span, so no temporary
+// payload is built. On error dst is returned unextended.
 func appendRecord(dst []byte, r *Record) ([]byte, error) {
-	var payload []byte
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst = append(dst, byte(r.Kind))
 	switch r.Kind {
 	case KindReport:
-		payload = make([]byte, 1+reportHeaderSize, 1+reportHeaderSize+len(r.Report))
-		payload[0] = byte(KindReport)
-		copy(payload[1:33], r.TxHash[:])
-		binary.BigEndian.PutUint64(payload[33:41], r.Block)
-		payload[41] = r.Flags
-		payload = append(payload, r.Report...)
+		dst = append(dst, r.TxHash[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, r.Block)
+		dst = append(dst, r.Flags)
+		dst = append(dst, r.Report...)
 	case KindCheckpoint:
-		payload = make([]byte, 1+checkpointSize)
-		payload[0] = byte(KindCheckpoint)
-		binary.BigEndian.PutUint64(payload[1:9], r.Block)
-		copy(payload[9:41], r.Digest[:])
+		dst = binary.BigEndian.AppendUint64(dst, r.Block)
+		dst = append(dst, r.Digest[:]...)
 	default:
-		return dst, fmt.Errorf("archive: encode unknown record kind %d", r.Kind)
+		return dst[:start], fmt.Errorf("archive: encode unknown record kind %d", r.Kind)
 	}
+	payload := dst[start+frameHeaderSize:]
 	if len(payload) > maxPayloadSize {
-		return dst, fmt.Errorf("archive: record payload %d bytes exceeds the %d cap", len(payload), maxPayloadSize)
+		return dst[:start], fmt.Errorf("archive: record payload %d bytes exceeds the %d cap", len(payload), maxPayloadSize)
 	}
-	return appendFrame(dst, payload), nil
+	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:start+8], crc32.Update(0, castagnoli, payload))
+	return dst, nil
 }
 
 // decodeRecord parses one frame from the head of b, returning the record

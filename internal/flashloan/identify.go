@@ -12,6 +12,7 @@ package flashloan
 
 import (
 	"fmt"
+	"sync"
 
 	"leishen/internal/evm"
 	"leishen/internal/types"
@@ -115,7 +116,18 @@ func markers(r *evm.Receipt) (uniswap, aave, dydx bool) {
 }
 
 // IsFlashLoanTx reports whether the transaction contains any flash loan.
-func IsFlashLoanTx(r *evm.Receipt) bool { return len(Identify(r)) > 0 }
+// It identifies into a pooled Scratch, so screening a block allocates
+// nothing per receipt.
+func IsFlashLoanTx(r *evm.Receipt) bool {
+	s := screenScratch.Get().(*Scratch)
+	found := len(IdentifyScratch(r, s)) > 0
+	screenScratch.Put(s)
+	return found
+}
+
+// screenScratch pools IsFlashLoanTx's working buffers. A Scratch holds
+// no pointers into a receipt, so a pooled one retains nothing.
+var screenScratch = sync.Pool{New: func() any { return new(Scratch) }}
 
 // identifyUniswapInto finds swap frames whose recipient is called back
 // via uniswapV2Call within the same pair call, and recovers the

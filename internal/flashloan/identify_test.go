@@ -133,6 +133,42 @@ func TestMultiProviderLoans(t *testing.T) {
 	}
 }
 
+// TestIsFlashLoanTxPooled checks the pooled screen gives Identify's
+// verdict and, once warm, allocates nothing per receipt.
+func TestIsFlashLoanTxPooled(t *testing.T) {
+	multi := receipt(
+		[]evm.InternalTx{
+			{Seq: 0, From: borrower, To: pair, Method: "swap"},
+			{Seq: 2, From: pair, To: borrower, Method: "uniswapV2Call"},
+		},
+		[]evm.Log{
+			{Seq: 1, Address: tokenA, Event: "Transfer",
+				Addrs: []types.Address{pair, borrower}, Amounts: []uint256.Int{uint256.FromUint64(500)}},
+			{Seq: 3, Address: solo, Event: "LogOperation", Addrs: []types.Address{borrower}},
+			{Seq: 4, Address: solo, Event: "LogWithdraw",
+				Addrs: []types.Address{borrower, tokenA}, Amounts: []uint256.Int{uint256.FromUint64(77)}},
+			{Seq: 5, Address: solo, Event: "LogCall", Addrs: []types.Address{borrower}},
+			{Seq: 6, Address: solo, Event: "LogDeposit",
+				Addrs: []types.Address{borrower, tokenA}, Amounts: []uint256.Int{uint256.FromUint64(77)}},
+		},
+	)
+	plain := receipt([]evm.InternalTx{{Seq: 0, From: user, To: pair, Method: "swap"}}, nil)
+	failed := receipt(nil, []evm.Log{{Seq: 0, Address: aavePool, Event: "FlashLoan",
+		Addrs: []types.Address{borrower, tokenA}, Amounts: []uint256.Int{uint256.FromUint64(1)}}})
+	failed.Success = false
+	for name, r := range map[string]*evm.Receipt{"multi": multi, "plain": plain, "failed": failed, "nil": nil} {
+		if got, want := IsFlashLoanTx(r), len(Identify(r)) > 0; got != want {
+			t.Errorf("%s: IsFlashLoanTx = %v, Identify found loans = %v", name, got, want)
+		}
+	}
+	if n := len(Identify(multi)); n != 2 {
+		t.Fatalf("multi-provider fixture: %d loans, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { IsFlashLoanTx(multi) }); allocs != 0 {
+		t.Errorf("IsFlashLoanTx: %.1f allocs per receipt, want 0", allocs)
+	}
+}
+
 func TestFailedTxHasNoLoans(t *testing.T) {
 	r := receipt(nil, []evm.Log{
 		{Seq: 0, Address: aavePool, Event: "FlashLoan",

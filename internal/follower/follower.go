@@ -24,7 +24,6 @@ package follower
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,6 +57,12 @@ type BlockSource interface {
 // DefaultQueueSize bounds the write queue: roughly a segment's worth of
 // in-flight records before block processing blocks on the archive.
 const DefaultQueueSize = 256
+
+// reportSizeHint presizes a block's report-encoding buffer per screened
+// receipt. A flash loan report's wire JSON averages ~510 bytes on the
+// generated corpus; the headroom lets a block encode without regrowing
+// its buffer.
+const reportSizeHint = 640
 
 // DefaultPoll is the idle head-polling cadence, ~1/3 of the pre-merge
 // inter-block time.
@@ -335,6 +340,9 @@ func (f *Follower) writer() {
 			}
 		}
 		f.commit(batch)
+		// Drop the committed ops: a reused batch would otherwise pin up
+		// to a queue's worth of records and their report bytes.
+		clear(batch)
 	}
 }
 
@@ -492,9 +500,15 @@ func (f *Follower) Step() (bool, error) {
 			screened = append(screened, r)
 		}
 	}
+	// Encode the block's reports into one buffer; each record's Report is
+	// a capacity-capped region of it, so an append through one record can
+	// never overwrite the next. A fresh buffer per block, because the
+	// writer reads the regions after Step returns.
+	enc := make([]byte, 0, len(screened)*reportSizeHint)
 	sum, err := scan.Each(f.det, screened, f.opts.Scan, func(_ int, rep *core.Report) error {
-		raw, err := json.Marshal(rep)
-		if err != nil {
+		start := len(enc)
+		var err error
+		if enc, err = rep.AppendJSON(enc); err != nil {
 			return err
 		}
 		f.queue <- writeOp{rec: &archive.Record{
@@ -502,7 +516,7 @@ func (f *Follower) Step() (bool, error) {
 			TxHash: rep.TxHash,
 			Block:  rep.Block,
 			Flags:  recordFlags(rep),
-			Report: raw,
+			Report: enc[start:len(enc):len(enc)],
 		}}
 		return nil
 	})
