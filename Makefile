@@ -13,7 +13,8 @@
 #                 token registry, archive, follower) and the parallel lint
 #                 driver under the race detector;
 #   bench-smoke — the throughput harness still runs end to end (tiny
-#                 corpus, no numbers recorded);
+#                 corpus, no numbers recorded), and one follower
+#                 catch-up pass reports tx/s and allocated bytes per tx;
 #   bench-serve-smoke — the HTTP serve benchmark on a tiny archive; it
 #                 hard-fails unless the zero-decode path serves bodies
 #                 byte-identical to the decode path and allocates less
@@ -67,6 +68,7 @@ bench:
 
 bench-smoke:
 	go run ./cmd/benchjson -smoke -out - -archive-out - -lint-out - -serve-out "" -metrics-out "" -fault-out ""
+	go test -run '^$$' -bench BenchmarkFollowerCatchUp -benchtime=1x ./internal/follower
 
 bench-serve-smoke:
 	go run ./cmd/benchjson -smoke -out "" -archive-out "" -lint-out "" -serve-out - -metrics-out "" -fault-out ""

@@ -45,6 +45,10 @@ func (s *slab[T]) save(src []T) []T {
 	return s.block[lo:len(s.block):len(s.block)]
 }
 
+// rewind empties the current block for reuse, invalidating every
+// region carved from it.
+func (s *slab[T]) rewind() { s.block = s.block[:0] }
+
 // saveOne stores one value and returns a stable pointer to it.
 func (s *slab[T]) saveOne(v T) *T {
 	if cap(s.block)-len(s.block) < 1 {
@@ -122,6 +126,23 @@ func (a *Arena) Reset() {
 	a.involvedBuf = a.involvedBuf[:0]
 	a.imatches = a.imatches[:0]
 	a.btags = a.btags[:0]
+}
+
+// Rewind resets the slabs for reuse, so the next reports are carved
+// from the memory the previous ones occupied. It breaks the ownership
+// promise of InspectScratch: every report returned from this arena
+// before the Rewind — its loans, transfers, trades, tags and matches —
+// is overwritten by later calls. Only a caller that is done with every
+// report the arena ever returned (encode, then drop) may rewind it.
+func (a *Arena) Rewind() {
+	a.reportSlab.rewind()
+	a.loanSlab.rewind()
+	a.transferSlab.rewind()
+	a.appSlab.rewind()
+	a.tradeSlab.rewind()
+	a.legSlab.rewind()
+	a.tagSlab.rewind()
+	a.matchSlab.rewind()
 }
 
 // Scratch is the historical name of the per-worker pipeline buffer; the

@@ -115,6 +115,20 @@ func markers(r *evm.Receipt) (uniswap, aave, dydx bool) {
 	return uniswap, aave, dydx
 }
 
+// HasMarker reports, without allocating or identifying, whether a
+// successful receipt carries any provider's entry marker — the cheap
+// superset screen in front of full identification. Every receipt
+// IsFlashLoanTx accepts has a marker; a marker alone (a callback
+// without its swap frame, a FlashLoan event with too few arguments)
+// does not make a loan, so a caller that needs loans still identifies.
+func HasMarker(r *evm.Receipt) bool {
+	if r == nil || !r.Success {
+		return false
+	}
+	uniswap, aave, dydx := markers(r)
+	return uniswap || aave || dydx
+}
+
 // IsFlashLoanTx reports whether the transaction contains any flash loan.
 // It identifies into a pooled Scratch, so screening a block allocates
 // nothing per receipt.
@@ -134,7 +148,8 @@ var screenScratch = sync.Pool{New: func() any { return new(Scratch) }}
 // borrowed amount from the Transfer logs emitted between the two
 // frames, appending the loans to dst.
 func identifyUniswapInto(loans []Loan, r *evm.Receipt) []Loan {
-	for _, it := range r.InternalTxs {
+	for i := range r.InternalTxs {
+		it := &r.InternalTxs[i]
 		if it.Method != "uniswapV2Call" {
 			continue
 		}
@@ -144,7 +159,8 @@ func identifyUniswapInto(loans []Loan, r *evm.Receipt) []Loan {
 		pair, borrower := it.From, it.To
 		var swapSeq uint64
 		var found bool
-		for _, s := range r.InternalTxs {
+		for j := range r.InternalTxs {
+			s := &r.InternalTxs[j]
 			if s.Method == "swap" && s.To == pair && s.Seq < it.Seq {
 				swapSeq, found = s.Seq, true
 			}
@@ -154,7 +170,8 @@ func identifyUniswapInto(loans []Loan, r *evm.Receipt) []Loan {
 		}
 		// Borrowed assets: Transfer logs from the pair to the borrower
 		// between the swap call and the callback.
-		for _, lg := range r.Logs {
+		for j := range r.Logs {
+			lg := &r.Logs[j]
 			if lg.Event != "Transfer" || lg.Seq <= swapSeq || lg.Seq >= it.Seq {
 				continue
 			}
@@ -175,7 +192,8 @@ func identifyUniswapInto(loans []Loan, r *evm.Receipt) []Loan {
 
 // identifyAaveInto matches FlashLoan events, appending to dst.
 func identifyAaveInto(loans []Loan, r *evm.Receipt) []Loan {
-	for _, lg := range r.Logs {
+	for i := range r.Logs {
+		lg := &r.Logs[i]
 		if lg.Event != "FlashLoan" || len(lg.Addrs) < 2 || len(lg.Amounts) < 1 {
 			continue
 		}

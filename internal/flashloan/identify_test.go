@@ -169,6 +169,44 @@ func TestIsFlashLoanTxPooled(t *testing.T) {
 	}
 }
 
+// TestHasMarkerScreen pins HasMarker as the allocation-free superset of
+// IsFlashLoanTx: every flash loan receipt has a marker, and a marker
+// without the rest of its provider's shape is a candidate that full
+// identification then rejects.
+func TestHasMarkerScreen(t *testing.T) {
+	loan := receipt(nil, []evm.Log{{Seq: 0, Address: aavePool, Event: "FlashLoan",
+		Addrs: []types.Address{borrower, tokenA}, Amounts: []uint256.Int{uint256.FromUint64(1)}}})
+	// A uniswapV2Call callback with no swap frame before it.
+	callbackOnly := receipt([]evm.InternalTx{{Seq: 0, From: pair, To: borrower, Method: "uniswapV2Call"}}, nil)
+	// A FlashLoan event too short to name borrower and token.
+	shortEvent := receipt(nil, []evm.Log{{Seq: 0, Address: aavePool, Event: "FlashLoan"}})
+	plain := receipt([]evm.InternalTx{{Seq: 0, From: user, To: pair, Method: "swap"}}, nil)
+	failed := receipt(nil, loan.Logs)
+	failed.Success = false
+	for _, c := range []struct {
+		name         string
+		r            *evm.Receipt
+		marker, loan bool
+	}{
+		{"loan", loan, true, true},
+		{"callbackOnly", callbackOnly, true, false},
+		{"shortEvent", shortEvent, true, false},
+		{"plain", plain, false, false},
+		{"failed", failed, false, false},
+		{"nil", nil, false, false},
+	} {
+		if got := HasMarker(c.r); got != c.marker {
+			t.Errorf("%s: HasMarker = %v, want %v", c.name, got, c.marker)
+		}
+		if got := IsFlashLoanTx(c.r); got != c.loan {
+			t.Errorf("%s: IsFlashLoanTx = %v, want %v", c.name, got, c.loan)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { HasMarker(loan) }); allocs != 0 {
+		t.Errorf("HasMarker: %.1f allocs per receipt, want 0", allocs)
+	}
+}
+
 func TestFailedTxHasNoLoans(t *testing.T) {
 	r := receipt(nil, []evm.Log{
 		{Seq: 0, Address: aavePool, Event: "FlashLoan",

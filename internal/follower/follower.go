@@ -1,7 +1,8 @@
 // Package follower turns the batch detection pipeline into a standing
 // service: a daemon that follows a chain head, screens every new block's
-// receipts for flash loans, runs the screened transactions through the
-// scan engine, and records every verdict in a durable archive — the
+// receipts for flash loan markers, hands the candidates to the scan
+// engine's workers — which identify, detect and encode each one — and
+// records every flash loan verdict in a durable archive — the
 // deployment the paper's conclusion envisions, a monitor "improving the
 // ability to combat flpAttacks in Ethereum" continuously rather than
 // per corpus.
@@ -15,10 +16,10 @@
 // follower walks the checkpoint trail backwards to the fork point and
 // rolls the archive back before re-following the new canonical chain.
 //
-// Writes flow through a bounded queue drained by a single writer
-// goroutine; when the archive cannot keep up the queue fills and block
-// processing blocks on the enqueue — backpressure instead of unbounded
-// buffering.
+// Writes flow through a bounded queue of blocks drained by a single
+// writer goroutine; when the archive cannot keep up the queue fills and
+// block processing blocks on the enqueue — backpressure instead of
+// unbounded buffering.
 package follower
 
 import (
@@ -54,15 +55,10 @@ type BlockSource interface {
 	BlockByNumber(n uint64) (*evm.Block, bool, error)
 }
 
-// DefaultQueueSize bounds the write queue: roughly a segment's worth of
-// in-flight records before block processing blocks on the archive.
-const DefaultQueueSize = 256
-
-// reportSizeHint presizes a block's report-encoding buffer per screened
-// receipt. A flash loan report's wire JSON averages ~510 bytes on the
-// generated corpus; the headroom lets a block encode without regrowing
-// its buffer.
-const reportSizeHint = 640
+// DefaultQueueSize bounds the write queue in blocks: how far block
+// processing may run ahead of the archive before it blocks on the
+// enqueue, and the most blocks one group commit covers.
+const DefaultQueueSize = 8
 
 // DefaultPoll is the idle head-polling cadence, ~1/3 of the pre-merge
 // inter-block time.
@@ -73,7 +69,7 @@ type Options struct {
 	// Scan configures the worker pool each block's screened receipts run
 	// on; the zero value means GOMAXPROCS workers.
 	Scan scan.Options
-	// QueueSize bounds the archive write queue; <= 0 means
+	// QueueSize bounds the archive write queue, in blocks; <= 0 means
 	// DefaultQueueSize.
 	QueueSize int
 	// Poll is how long Run sleeps when caught up with the head; <= 0
@@ -130,12 +126,27 @@ type Stats struct {
 	SourceRetries uint64 `json:"sourceRetries"`
 }
 
-// writeOp is one unit of work for the writer goroutine: a report
-// append, a checkpoint (which syncs), or a flush barrier.
+// writeOp is one unit of work for the writer goroutine: one block's
+// report records, its checkpoint, and the encode buffers the records'
+// bytes live in — or, when flush is set, a barrier.
 type writeOp struct {
-	rec   *archive.Record
-	cp    *archive.Checkpoint
+	recs  []archive.Record
+	cp    archive.Checkpoint
+	wire  *scan.Wire
 	flush chan error
+}
+
+// opPool recycles block ops, and with them their record slices, once
+// the writer has committed them.
+var opPool = sync.Pool{New: func() any { return new(writeOp) }}
+
+// release hands a committed block op and its encode buffers back for
+// reuse; nothing may read the op afterwards.
+func (op *writeOp) release() {
+	op.wire.Release()
+	clear(op.recs)
+	*op = writeOp{recs: op.recs[:0]}
+	opPool.Put(op)
 }
 
 // Follower tails a BlockSource into an Archive.
@@ -145,11 +156,12 @@ type Follower struct {
 	arc  *archive.Archive
 	opts Options
 
-	queue chan writeOp
+	queue chan *writeOp
 	done  chan struct{}
 	sleep func(time.Duration) // backoff sleeper; tests shorten it
 	wrng  *rand.Rand          // jitter: writer goroutine only
 	srng  *rand.Rand          // jitter: the stepping goroutine only
+	cands []*evm.Receipt      // the screen's reused output: the stepping goroutine only
 
 	mu            sync.Mutex
 	next          uint64 // next block height to process
@@ -176,7 +188,7 @@ func New(src BlockSource, det *core.Detector, arc *archive.Archive, opts Options
 		det:   det,
 		arc:   arc,
 		opts:  opts,
-		queue: make(chan writeOp, opts.queueSize()),
+		queue: make(chan *writeOp, opts.queueSize()),
 		done:  make(chan struct{}),
 		sleep: time.Sleep,
 		wrng:  rand.New(rand.NewSource(opts.Retry.Seed)),
@@ -315,15 +327,16 @@ func BlockDigest(b *evm.Block) types.Hash {
 
 // writer is the single goroutine that owns archive appends. It group
 // commits: each wakeup drains whatever the queue holds (up to its
-// capacity), applies every append, then issues ONE Sync if the batch
-// carried a checkpoint — so a burst of blocks costs one fsync instead
-// of one per block, while an idle follower still syncs every block.
+// capacity in blocks), applies every append, then issues ONE Sync if
+// the batch carried a checkpoint — so a burst of blocks costs one fsync
+// instead of one per block, while an idle follower still syncs every
+// block.
 // The first failure is sticky: subsequent ops are refused so the
 // archive never holds records past a failed write, and flush barriers
 // surface the error to the processing side.
 func (f *Follower) writer() {
 	defer close(f.done)
-	batch := make([]writeOp, 0, cap(f.queue))
+	batch := make([]*writeOp, 0, cap(f.queue))
 	for op := range f.queue {
 		batch = append(batch[:0], op)
 	drain:
@@ -341,7 +354,7 @@ func (f *Follower) writer() {
 		}
 		f.commit(batch)
 		// Drop the committed ops: a reused batch would otherwise pin up
-		// to a queue's worth of records and their report bytes.
+		// to a queue's worth of blocks and their report bytes.
 		clear(batch)
 	}
 }
@@ -351,31 +364,34 @@ func (f *Follower) writer() {
 // observable), then one Sync promotes the batch's checkpoints, and only
 // then are flush barriers answered — a Flush caller can never observe a
 // checkpoint whose records are still volatile, and realign's fork-point
-// walk after Flush sees only durable checkpoints.
+// walk after Flush sees only durable checkpoints. Each block op, once
+// applied (or refused), returns its encode buffers to the pool.
 //
 // Every archive operation runs under the transient-retry policy; each
 // is individually idempotent (a failed append buffers nothing, a
 // failed sync promotes nothing), so a retry can never double-apply.
 // Only a fatal error — or a transient one that exhausts the attempt
 // budget — goes sticky and stops the writer.
-func (f *Follower) commit(batch []writeOp) {
+func (f *Follower) commit(batch []*writeOp) {
 	err := f.stickyErr()
 	appends, cps := 0, 0
 	for _, op := range batch {
 		if op.flush != nil || err != nil {
 			continue
 		}
-		switch {
-		case op.rec != nil:
-			rec := op.rec
-			if err = f.retryWrite(func() error { return f.arc.AppendReport(rec) }); err == nil {
-				appends++
+		for i := range op.recs {
+			rec := &op.recs[i]
+			if err = f.retryWrite(func() error { return f.arc.AppendReport(rec) }); err != nil {
+				break
 			}
-		case op.cp != nil:
-			cp := *op.cp
-			if err = f.retryWrite(func() error { return f.arc.AppendCheckpointDeferred(cp) }); err == nil {
-				cps++
-			}
+			appends++
+		}
+		if err != nil {
+			continue
+		}
+		cp := op.cp
+		if err = f.retryWrite(func() error { return f.arc.AppendCheckpointDeferred(cp) }); err == nil {
+			cps++
 		}
 	}
 	m := f.opts.Metrics
@@ -416,6 +432,8 @@ func (f *Follower) commit(batch []writeOp) {
 	for _, op := range batch {
 		if op.flush != nil {
 			op.flush <- sticky
+		} else {
+			op.release()
 		}
 	}
 }
@@ -436,12 +454,14 @@ func (f *Follower) Flush() error {
 		return ErrClosed
 	}
 	ch := make(chan error, 1)
-	f.queue <- writeOp{flush: ch}
+	f.queue <- &writeOp{flush: ch}
 	return <-ch
 }
 
-// Step processes at most one pending block: reorg check, screen, scan,
-// enqueue records, enqueue checkpoint. It returns whether a block was
+// Step processes at most one pending block: reorg check, screen,
+// dispatch the candidates to the scan workers — which identify,
+// detect and encode — then enqueue the block's records, checkpoint and
+// encode buffers as one write op. It returns whether a block was
 // processed (false when caught up with the head).
 func (f *Follower) Step() (bool, error) {
 	if err := f.stickyErr(); err != nil {
@@ -492,38 +512,35 @@ func (f *Follower) Step() (bool, error) {
 		}
 	}
 
-	// Screen the block: only successful flash loan transactions enter the
-	// pipeline, the same gate the HTTP monitor applies.
-	screened := make([]*evm.Receipt, 0, len(blk.Receipts))
+	// Screen the block for provider markers — a superset of the
+	// successful flash loan transactions, the gate the HTTP monitor
+	// applies. The workers identify each candidate once, as the first
+	// step of detection, and drop the ones without a loan.
+	f.cands = f.cands[:0]
 	for _, r := range blk.Receipts {
-		if r.Success && flashloan.IsFlashLoanTx(r) {
-			screened = append(screened, r)
+		if flashloan.HasMarker(r) {
+			f.cands = append(f.cands, r)
 		}
 	}
-	// Encode the block's reports into one buffer; each record's Report is
-	// a capacity-capped region of it, so an append through one record can
-	// never overwrite the next. A fresh buffer per block, because the
-	// writer reads the regions after Step returns.
-	enc := make([]byte, 0, len(screened)*reportSizeHint)
-	sum, err := scan.Each(f.det, screened, f.opts.Scan, func(_ int, rep *core.Report) error {
-		start := len(enc)
-		var err error
-		if enc, err = rep.AppendJSON(enc); err != nil {
-			return err
-		}
-		f.queue <- writeOp{rec: &archive.Record{
+	op := opPool.Get().(*writeOp)
+	sum, wire, err := scan.EachEncoded(f.det, f.cands, f.opts.Scan, func(_ int, v scan.Verdict, raw []byte) error {
+		op.recs = append(op.recs, archive.Record{
 			Kind:   archive.KindReport,
-			TxHash: rep.TxHash,
-			Block:  rep.Block,
-			Flags:  recordFlags(rep),
-			Report: enc[start:len(enc):len(enc)],
-		}}
+			TxHash: v.TxHash,
+			Block:  v.Block,
+			Flags:  verdictFlags(v),
+			Report: raw,
+		})
 		return nil
 	})
+	clear(f.cands) // pin no receipt until the next Step
+	op.wire = wire
 	if err != nil {
+		op.release()
 		return false, err
 	}
-	f.queue <- writeOp{cp: &archive.Checkpoint{Block: blk.Number, Digest: BlockDigest(blk)}}
+	op.cp = archive.Checkpoint{Block: blk.Number, Digest: BlockDigest(blk)}
+	f.queue <- op
 
 	f.mu.Lock()
 	f.next = next + 1
@@ -550,16 +567,16 @@ func (f *Follower) observeLag(m *Metrics, head uint64) {
 	m.CheckpointLag.Set(int64(lag))
 }
 
-// recordFlags derives the index flags stored beside the report bytes.
-func recordFlags(rep *core.Report) uint8 {
+// verdictFlags derives the index flags stored beside the report bytes.
+func verdictFlags(v scan.Verdict) uint8 {
 	var flags uint8
-	if len(rep.Loans) > 0 {
+	if v.FlashLoan {
 		flags |= archive.FlagFlashLoan
 	}
-	if rep.IsAttack {
+	if v.Attack {
 		flags |= archive.FlagAttack
 	}
-	if rep.SuppressedByHeuristic {
+	if v.Suppressed {
 		flags |= archive.FlagSuppressed
 	}
 	return flags

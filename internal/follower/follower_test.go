@@ -291,7 +291,7 @@ func TestBackpressureQueue(t *testing.T) {
 }
 
 // TestGroupCommitBatch drives the writer's commit directly with one
-// multi-block batch and pins the group-commit contract: every append
+// three-block batch and pins the group-commit contract: every append
 // lands, exactly ONE fsync covers the whole batch, and the latest
 // checkpoint only becomes observable once that sync has happened.
 func TestGroupCommitBatch(t *testing.T) {
@@ -304,19 +304,21 @@ func TestGroupCommitBatch(t *testing.T) {
 	}
 	defer f.Close()
 
-	var batch []writeOp
+	var batch []*writeOp
 	for b := uint64(1); b <= 3; b++ {
+		op := &writeOp{}
 		for i := 0; i < 4; i++ {
-			batch = append(batch, writeOp{rec: &archive.Record{
+			op.recs = append(op.recs, archive.Record{
 				Kind:   archive.KindReport,
 				TxHash: types.HashFromData([]byte{byte(b), byte(i)}),
 				Block:  b,
 				Flags:  archive.FlagFlashLoan,
 				Report: []byte(`{}`),
-			}})
+			})
 		}
 		blk, _ := env.Chain.BlockByNumber(b)
-		batch = append(batch, writeOp{cp: &archive.Checkpoint{Block: b, Digest: BlockDigest(blk)}})
+		op.cp = archive.Checkpoint{Block: b, Digest: BlockDigest(blk)}
+		batch = append(batch, op)
 	}
 	f.commit(batch)
 

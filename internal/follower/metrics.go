@@ -12,7 +12,7 @@ type Metrics struct {
 	Blocks *metrics.Counter
 	// Reorgs counts realignments that actually rolled the archive back.
 	Reorgs *metrics.Counter
-	// QueueDepth is the write queue's current occupancy.
+	// QueueDepth is the write queue's current occupancy, in blocks.
 	QueueDepth *metrics.Gauge
 	// CheckpointLag is source head minus the last durable checkpoint —
 	// the follower's distance behind the chain.
@@ -43,7 +43,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
 		Blocks:        r.Counter("leishen_follower_blocks_total", "Blocks screened and scanned by the follower."),
 		Reorgs:        r.Counter("leishen_follower_reorg_rollbacks_total", "Realignments that rolled the archive back to a fork point."),
-		QueueDepth:    r.Gauge("leishen_follower_queue_depth", "Archive write queue occupancy (records and checkpoints waiting for the writer)."),
+		QueueDepth:    r.Gauge("leishen_follower_queue_depth", "Archive write queue occupancy (blocks waiting for the writer)."),
 		CheckpointLag: r.Gauge("leishen_follower_checkpoint_lag_blocks", "Source head height minus the last durable checkpoint."),
 		BatchOps: r.Histogram("leishen_follower_write_batch_ops",
 			"Appends plus checkpoints applied per group-commit batch.", metrics.DefCountBuckets),

@@ -1,9 +1,6 @@
 package scan
 
-import (
-	"leishen/internal/core"
-	"leishen/internal/metrics"
-)
+import "leishen/internal/metrics"
 
 // Metrics is the scan engine's telemetry bundle. Attach one via
 // Options.Metrics to instrument a scan; a nil bundle costs a single
@@ -65,19 +62,19 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	}
 }
 
-// observeTx folds one resolved report into the per-transaction
+// observeTx folds one resolved verdict into the per-transaction
 // counters and the latency histogram. Called from the emitter (or the
 // sequential loop), so the atomics are uncontended.
-func (m *Metrics) observeTx(rep *core.Report) {
+func (m *Metrics) observeTx(v Verdict) {
 	m.Txs.Inc()
-	if len(rep.Loans) > 0 {
+	if v.FlashLoan {
 		m.FlashLoans.Inc()
 	}
-	if rep.IsAttack {
+	if v.Attack {
 		m.Attacks.Inc()
 	}
-	if rep.SuppressedByHeuristic {
+	if v.Suppressed {
 		m.Suppressed.Inc()
 	}
-	m.DetectSeconds.ObserveDuration(rep.Elapsed)
+	m.DetectSeconds.ObserveDuration(v.Elapsed)
 }

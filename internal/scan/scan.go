@@ -22,10 +22,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"leishen/internal/core"
 	"leishen/internal/evm"
 	"leishen/internal/metrics"
+	"leishen/internal/types"
 )
 
 // Chunking bounds. Chunks amortize the claim (one atomic add) and
@@ -53,7 +55,8 @@ type Arena = core.Arena
 // arenaPool recycles warmed arenas across scans. Pooling is safe
 // because reports own their data (slab regions are never rewritten):
 // an arena returned to the pool may still back live reports, and a
-// later scan only appends to its slabs.
+// later scan only appends to its slabs. For the same reason an arena
+// from this pool is never rewound; EachEncoded keeps its own.
 var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}
 
 // Options configures a scan.
@@ -130,20 +133,53 @@ type Summary struct {
 }
 
 // Observe folds one report into the summary.
-func (s *Summary) Observe(rep *core.Report) {
+func (s *Summary) Observe(rep *core.Report) { s.observe(verdictOf(rep)) }
+
+func (s *Summary) observe(v Verdict) {
 	s.Inspected++
-	if rep.Error != "" {
+	if v.Error {
 		s.Errors++
 		return
 	}
-	if len(rep.Loans) > 0 {
+	if v.FlashLoan {
 		s.FlashLoans++
 	}
-	if rep.IsAttack {
+	if v.Attack {
 		s.Attacks++
 	}
-	if rep.SuppressedByHeuristic {
+	if v.Suppressed {
 		s.Suppressed++
+	}
+}
+
+// Verdict is the part of a report the engine's bookkeeping — Summary,
+// Metrics, and an archive's index flags — reads: the transaction's
+// identity, its verdict classes and its detection latency. It is what
+// EachEncoded delivers in place of the report itself.
+type Verdict struct {
+	TxHash types.Hash
+	Block  uint64
+	// Elapsed is the report's detection wall time.
+	Elapsed time.Duration
+	// FlashLoan: at least one loan was identified. Attack and
+	// Suppressed mirror the report's IsAttack and
+	// SuppressedByHeuristic.
+	FlashLoan  bool
+	Attack     bool
+	Suppressed bool
+	// Error: inspection failed and the report is an error verdict.
+	Error bool
+}
+
+func verdictOf(rep *core.Report) Verdict {
+	return Verdict{
+		TxHash:     rep.TxHash,
+		Block:      rep.Block,
+		Elapsed:    rep.Elapsed,
+		FlashLoan:  len(rep.Loans) > 0,
+		Attack:     rep.IsAttack,
+		Suppressed: rep.SuppressedByHeuristic,
+		Error:      rep.Error != "",
 	}
 }
 
@@ -196,9 +232,42 @@ func Scan(det *core.Detector, receipts []*evm.Receipt, opts Options) ([]*core.Re
 // delivered so far.
 func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i int, rep *core.Report) error) (Summary, error) {
 	var sum Summary
-	n := len(receipts)
+	m := opts.Metrics
+	err := run(len(receipts), opts, nil, func(int) (func(int) *core.Report, func()) {
+		scratch := arenaPool.Get().(*core.Arena)
+		inspect := func(i int) *core.Report { return inspectSafe(det, receipts[i], &scratch, m) }
+		// A closure, not a bound argument: inspectSafe swaps in a fresh
+		// arena after a recovered panic, and only the live one may be
+		// pooled.
+		return inspect, func() { arenaPool.Put(scratch) }
+	}, func(i int, rep *core.Report) error {
+		v := verdictOf(rep)
+		sum.observe(v)
+		if m != nil {
+			m.observeTx(v)
+		}
+		return fn(i, rep)
+	})
+	return sum, err
+}
+
+// run is the engine Each and EachEncoded share. With one worker it
+// runs inline: no goroutine pool, no cursor, no re-sequencer — the
+// sequential baseline the determinism guarantee is stated against.
+// Otherwise workers claim chunk indices from an atomic cursor, write
+// results into disjoint regions of results, and announce each finished
+// chunk; the calling goroutine advances a frontier over the completed
+// chunks and hands every result to emit strictly in input order.
+//
+// newWorker(w) starts worker w: it returns the per-receipt function
+// and a release that runs when the worker exits. results holds the
+// in-flight results when it is long enough (nil allocates). A non-nil
+// error from emit stops the pass: workers finish their in-flight
+// chunk, nothing further is emitted, and run returns that error once
+// every worker has exited.
+func run[R any](n int, opts Options, results []R, newWorker func(w int) (func(i int) R, func()), emit func(i int, r R) error) error {
 	if n == 0 {
-		return sum, nil
+		return nil
 	}
 	cs := opts.chunkSize(n)
 	numChunks := (n + cs - 1) / cs
@@ -209,33 +278,20 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 		m.Workers.Set(int64(workers))
 	}
 
-	// One worker: inspect inline, no goroutine pool, no cursor, no
-	// re-sequencer. This is the sequential baseline the determinism
-	// guarantee is stated against.
 	if workers <= 1 {
-		scratch := arenaPool.Get().(*core.Arena)
-		// Closure, not a bound argument: inspectSafe swaps in a fresh
-		// arena after a recovered panic, and only the live one may be
-		// pooled.
-		defer func() { arenaPool.Put(scratch) }()
-		for i, r := range receipts {
-			rep := inspectSafe(det, r, &scratch, m)
-			sum.Observe(rep)
-			if m != nil {
-				m.observeTx(rep)
-			}
-			if err := fn(i, rep); err != nil {
-				return sum, err
+		do, release := newWorker(0)
+		defer release()
+		for i := 0; i < n; i++ {
+			if err := emit(i, do(i)); err != nil {
+				return err
 			}
 		}
-		return sum, nil
+		return nil
 	}
 
-	// Workers claim chunk indices from an atomic cursor, write reports
-	// into disjoint regions of the shared results slice, and announce
-	// each finished chunk. The emitter advances a frontier over the
-	// completed chunks, delivering reports strictly in input order.
-	results := make([]*core.Report, n)
+	if len(results) < n {
+		results = make([]R, n)
+	}
 	var (
 		cursor atomic.Int64
 		stop   atomic.Bool
@@ -246,8 +302,8 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := arenaPool.Get().(*core.Arena)
-			defer func() { arenaPool.Put(scratch) }()
+			do, release := newWorker(w)
+			defer release()
 			for {
 				if stop.Load() {
 					return
@@ -257,17 +313,14 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 					return
 				}
 				lo := c * cs
-				hi := lo + cs
-				if hi > n {
-					hi = n
-				}
+				hi := min(lo+cs, n)
 				var t metrics.Timer
 				if m != nil {
 					m.InFlight.Add(int64(hi - lo))
 					t = m.ChunkSeconds.Start()
 				}
 				for i := lo; i < hi; i++ {
-					results[i] = inspectSafe(det, receipts[i], &scratch, m)
+					results[i] = do(i)
 				}
 				if m != nil {
 					t.Stop()
@@ -285,24 +338,18 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 
 	completed := make([]bool, numChunks)
 	frontier := 0
-	var fnErr error
+	var emitErr error
+	var zero R
 	for c := range doneCh {
 		completed[c] = true
-		for fnErr == nil && frontier < numChunks && completed[frontier] {
+		for emitErr == nil && frontier < numChunks && completed[frontier] {
 			lo := frontier * cs
-			hi := lo + cs
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+cs, n)
 			for i := lo; i < hi; i++ {
-				rep := results[i]
-				results[i] = nil // release as we stream
-				sum.Observe(rep)
-				if m != nil {
-					m.observeTx(rep)
-				}
-				if err := fn(i, rep); err != nil {
-					fnErr = err
+				r := results[i]
+				results[i] = zero // release as we stream
+				if err := emit(i, r); err != nil {
+					emitErr = err
 					stop.Store(true)
 					break
 				}
@@ -310,5 +357,8 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 			frontier++
 		}
 	}
-	return sum, fnErr
+	if emitErr != nil {
+		clear(results) // drop the results that will never be emitted
+	}
+	return emitErr
 }

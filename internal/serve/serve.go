@@ -487,12 +487,19 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown block")
 		return
 	}
+	// HasMarker is the cheap superset screen; Inspect identifies each
+	// candidate once, and only those with a loan are listed and counted.
 	reports := make([]core.ReportJSON, 0, 4)
 	for _, receipt := range blk.Receipts {
-		if !receipt.Success || !flashloan.IsFlashLoanTx(receipt) {
+		if !flashloan.HasMarker(receipt) {
 			continue
 		}
-		reports = append(reports, s.inspect(receipt).JSON())
+		rep := s.det.Inspect(receipt)
+		if len(rep.Loans) == 0 {
+			continue
+		}
+		s.observe(rep)
+		reports = append(reports, rep.JSON())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"block":   blk.Number,
@@ -503,10 +510,15 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) inspect(receipt *evm.Receipt) *core.Report {
 	rep := s.det.Inspect(receipt)
+	s.observe(rep)
+	return rep
+}
+
+// observe folds one report into the lifetime stats.
+func (s *Server) observe(rep *core.Report) {
 	s.mu.Lock()
 	s.stats.Observe(rep)
 	s.mu.Unlock()
-	return rep
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"leishen/internal/attacks"
 	"leishen/internal/core"
+	"leishen/internal/evm"
+	"leishen/internal/flashloan"
 	"leishen/internal/simplify"
 )
 
@@ -173,5 +177,79 @@ func TestStatsAccumulate(t *testing.T) {
 	getJSON(t, srv.URL+"/stats", http.StatusOK, &st)
 	if st.Inspected != 2 || st.Attacks != 2 || st.FlashLoans != 2 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// markerOnly emits an AAVE FlashLoan event too short to name a
+// borrower and token: the receipt carries a provider marker but no
+// loan.
+type markerOnly struct{}
+
+func (markerOnly) Call(env *evm.Env, method string, args []any) ([]any, error) {
+	env.EmitLog("FlashLoan", nil, nil)
+	return nil, nil
+}
+
+// TestBlockScreen pins /block's screen: a marker without a loan is
+// neither listed nor counted, and the response bytes are what the
+// full-identification screen (IsFlashLoanTx, then Inspect) produces.
+func TestBlockScreen(t *testing.T) {
+	sc, ok := attacks.ByName("Harvest Finance")
+	if !ok {
+		t.Fatal("scenario missing")
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := res.Env.Chain
+	eoa := chain.NewEOA("")
+	addr, err := chain.Deploy(eoa, markerOnly{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoy := chain.Send(eoa, addr, "go")
+	if !decoy.Success || !flashloan.HasMarker(decoy) || flashloan.IsFlashLoanTx(decoy) {
+		t.Fatalf("decoy receipt: success=%v marker=%v loan=%v", decoy.Success, flashloan.HasMarker(decoy), flashloan.IsFlashLoanTx(decoy))
+	}
+	chain.MineBlock()
+
+	tick := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	det := core.NewDetector(chain, res.Env.Registry, core.Options{
+		Simplify: simplify.Options{WETH: res.Env.WETH},
+		Clock:    func() time.Time { return tick },
+	})
+	srv := httptest.NewServer(New(chain, det).Handler())
+	defer srv.Close()
+
+	for _, n := range []uint64{res.Receipt.Block, decoy.Block} {
+		blk, _ := chain.BlockByNumber(n)
+		reports := make([]core.ReportJSON, 0, 4)
+		for _, r := range blk.Receipts {
+			if r.Success && flashloan.IsFlashLoanTx(r) {
+				reports = append(reports, det.Inspect(r).JSON())
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{"block": blk.Number, "time": blk.Time, "reports": reports}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/block/%d", srv.URL, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("block %d body:\n got %s\nwant %s", n, got, want.Bytes())
+		}
+	}
+	var st Stats
+	getJSON(t, srv.URL+"/stats", http.StatusOK, &st)
+	if st.Inspected != 1 || st.FlashLoans != 1 || st.Attacks != 1 {
+		t.Errorf("stats = %+v, want only the attack counted", st)
 	}
 }

@@ -255,10 +255,20 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, &gofs.PathError{Op: "write", Path: h.name, Err: gofs.ErrPermission}
 	}
 	end := h.pos + int64(len(p))
-	if int64(len(h.f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, h.f.data)
-		h.f.data = grown
+	if size := int64(len(h.f.data)); size < end {
+		// Grow geometrically, as append does: an appending writer must
+		// not copy the whole file on every write.
+		if int64(cap(h.f.data)) < end {
+			grown := make([]byte, size, max(end, 2*int64(cap(h.f.data))))
+			copy(grown, h.f.data)
+			h.f.data = grown
+		}
+		h.f.data = h.f.data[:end]
+		// Spare capacity may hold bytes a Truncate cut off; a write past
+		// the end leaves a zero-filled gap, as on a real file.
+		if h.pos > size {
+			clear(h.f.data[size:h.pos])
+		}
 	}
 	copy(h.f.data[h.pos:end], p)
 	h.pos = end

@@ -163,6 +163,31 @@ func TestMemFSFileSemantics(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte("abX\x00\x00")) {
 		t.Fatalf("ReadFile = %q, %v", got, err)
 	}
+
+	// A write straddling the end, one past it, and one past it after a
+	// Truncate kept the cut-off bytes in spare capacity: the file reads
+	// back what was written and zeros in every gap, never stale bytes.
+	for _, w := range []struct {
+		truncate, at int64
+		data, want   string
+	}{
+		{2, 1, "QRS", "aQRS"},
+		{4, 6, "Z", "aQRS\x00\x00Z"},
+		{1, 3, "W", "a\x00\x00W"},
+	} {
+		if err := f.Truncate(w.truncate); err != nil {
+			t.Fatalf("Truncate(%d): %v", w.truncate, err)
+		}
+		if _, err := f.Seek(w.at, io.SeekStart); err != nil {
+			t.Fatalf("Seek(%d): %v", w.at, err)
+		}
+		if _, err := f.Write([]byte(w.data)); err != nil {
+			t.Fatalf("Write(%q): %v", w.data, err)
+		}
+		if got, err := m.ReadFile("a"); err != nil || string(got) != w.want {
+			t.Fatalf("after writing %q at %d: ReadFile = %q, %v; want %q", w.data, w.at, got, err, w.want)
+		}
+	}
 }
 
 // TestMemFSReopenFromSnapshot: NewMemFSFromFiles(durable view) is the
