@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -131,8 +132,8 @@ func (r *Report) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `","block":`...)
 	dst = strconv.AppendUint(dst, r.Block, 10)
 	dst = append(dst, `,"time":"`...)
-	withTime, err := r.Time.AppendText(dst)
-	if err != nil {
+	withTime := r.Time.AppendFormat(dst, time.RFC3339Nano)
+	if err := strictRFC3339(withTime[len(dst):]); err != nil {
 		return dst[:start], fmt.Errorf("report json: time: %w", err)
 	}
 	dst = append(withTime, `","isFlashLoanTx":`...)
@@ -216,6 +217,7 @@ func (r *Report) AppendJSON(dst []byte) ([]byte, error) {
 			dst = append(dst, `,"trades":`...)
 			dst = strconv.AppendInt(dst, int64(len(m.Trades)), 10)
 			dst = append(dst, `,"volatilityPct":`...)
+			var err error
 			if dst, err = appendJSONFloat(dst, m.VolatilityPct); err != nil {
 				return dst[:start], err
 			}
@@ -330,6 +332,23 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// strictRFC3339 rejects an RFC3339Nano rendering that is not valid RFC
+// 3339 — the checks time.Time's JSON and text marshalers apply: the
+// year must be exactly four digits wide, and a zone offset must be
+// under 24 hours.
+func strictRFC3339(ts []byte) error {
+	if ts[len("9999")] != '-' {
+		return errors.New("year outside of range [0,9999]")
+	}
+	if n := len(ts); ts[n-1] != 'Z' {
+		c := ts[n-len("Z07:00")]
+		if ('0' <= c && c <= '9') || 10*(ts[n-5]-'0')+(ts[n-4]-'0') >= 24 {
+			return errors.New("timezone hour outside of range [0,23]")
+		}
+	}
+	return nil
 }
 
 // DecodeReportJSON parses a report's wire form back into ReportJSON —

@@ -1,7 +1,7 @@
 // Package follower turns the batch detection pipeline into a standing
 // service: a daemon that follows a chain head, screens every new block's
-// receipts for flash loan markers, hands the candidates to the scan
-// engine's workers — which identify, detect and encode each one — and
+// receipts for flash loan markers, hands the candidates to a long-lived
+// scan stream — whose workers identify, detect and encode each one — and
 // records every flash loan verdict in a durable archive — the
 // deployment the paper's conclusion envisions, a monitor "improving the
 // ability to combat flpAttacks in Ethereum" continuously rather than
@@ -19,7 +19,9 @@
 // Writes flow through a bounded queue of blocks drained by a single
 // writer goroutine; when the archive cannot keep up the queue fills and
 // block processing blocks on the enqueue — backpressure instead of
-// unbounded buffering.
+// unbounded buffering. Detection runs one block ahead of the stepping
+// goroutine: Step returns once the previous block is encoded, while its
+// own block is still on the workers.
 package follower
 
 import (
@@ -107,8 +109,9 @@ type Stats struct {
 	Checkpoint uint64 `json:"checkpoint"`
 	// Lag is Head - Checkpoint, the follower's distance behind the chain.
 	Lag uint64 `json:"lag"`
-	// Summary aggregates the verdicts of every block processed by this
-	// process (not recovered history).
+	// Summary aggregates the verdicts of every block this process's
+	// writer has resolved (not recovered history); after Flush it
+	// covers every stepped block.
 	Summary scan.Summary `json:"summary"`
 	// WriterBatches / WriterOps / WriterSyncs describe the group-commit
 	// writer: batches committed, records+checkpoints applied, and fsyncs
@@ -127,12 +130,12 @@ type Stats struct {
 }
 
 // writeOp is one unit of work for the writer goroutine: one block's
-// report records, its checkpoint, and the encode buffers the records'
-// bytes live in — or, when flush is set, a barrier.
+// stream batch, the report records the writer builds from it, and the
+// block's checkpoint — or, when flush is set, a barrier.
 type writeOp struct {
+	batch *scan.Batch
 	recs  []archive.Record
 	cp    archive.Checkpoint
-	wire  *scan.Wire
 	flush chan error
 }
 
@@ -140,10 +143,10 @@ type writeOp struct {
 // the writer has committed them.
 var opPool = sync.Pool{New: func() any { return new(writeOp) }}
 
-// release hands a committed block op and its encode buffers back for
-// reuse; nothing may read the op afterwards.
+// release hands a committed block op and its batch back for reuse;
+// nothing may read the op afterwards.
 func (op *writeOp) release() {
-	op.wire.Release()
+	op.batch.Release()
 	clear(op.recs)
 	*op = writeOp{recs: op.recs[:0]}
 	opPool.Put(op)
@@ -152,22 +155,25 @@ func (op *writeOp) release() {
 // Follower tails a BlockSource into an Archive.
 type Follower struct {
 	src  BlockSource
-	det  *core.Detector
 	arc  *archive.Archive
 	opts Options
 
-	queue chan *writeOp
-	done  chan struct{}
-	sleep func(time.Duration) // backoff sleeper; tests shorten it
-	wrng  *rand.Rand          // jitter: writer goroutine only
-	srng  *rand.Rand          // jitter: the stepping goroutine only
-	cands []*evm.Receipt      // the screen's reused output: the stepping goroutine only
+	stream *scan.Stream
+	queue  chan *writeOp
+	done   chan struct{}
+	sleep  func(time.Duration) // backoff sleeper; tests shorten it
+	wrng   *rand.Rand          // jitter: writer goroutine only
+	srng   *rand.Rand          // jitter: the stepping goroutine only
+	cands  []*evm.Receipt      // the screen's reused output: the stepping goroutine only
+	ahead  <-chan struct{}     // the last stepped block's batch is encoded: the stepping goroutine only
 
 	mu            sync.Mutex
-	next          uint64 // next block height to process
-	summary       scan.Summary
-	writeErr      error // sticky fatal writer failure
-	degraded      bool  // writer currently in retry/backoff
+	next          uint64             // next block height to process
+	durable       archive.Checkpoint // the archive's last durable checkpoint, set by the writer and rollbacks
+	hasDurable    bool
+	summary       scan.Summary // verdicts of the blocks the writer resolved
+	writeErr      error        // sticky fatal writer failure
+	degraded      bool         // writer currently in retry/backoff
 	closed        bool
 	lastHead      uint64 // newest head the source reported
 	writerBatches uint64
@@ -185,7 +191,6 @@ type Follower struct {
 func New(src BlockSource, det *core.Detector, arc *archive.Archive, opts Options) (*Follower, error) {
 	f := &Follower{
 		src:   src,
-		det:   det,
 		arc:   arc,
 		opts:  opts,
 		queue: make(chan *writeOp, opts.queueSize()),
@@ -202,6 +207,8 @@ func New(src BlockSource, det *core.Detector, arc *archive.Archive, opts Options
 		return nil, err
 	}
 	f.next = fork + 1
+	f.durable, f.hasDurable = arc.Checkpoint()
+	f.stream = scan.NewStream(det, opts.Scan)
 	go f.writer()
 	return f, nil
 }
@@ -359,13 +366,16 @@ func (f *Follower) writer() {
 	}
 }
 
-// commit applies one drained batch. Ordering is the durability
-// argument: appends land first (checkpoints deferred, so not yet
-// observable), then one Sync promotes the batch's checkpoints, and only
-// then are flush barriers answered — a Flush caller can never observe a
-// checkpoint whose records are still volatile, and realign's fork-point
-// walk after Flush sees only durable checkpoints. Each block op, once
-// applied (or refused), returns its encode buffers to the pool.
+// commit applies one drained batch. Each block op first waits for its
+// stream batch and builds its records from the delivered wire bytes;
+// an encode failure goes sticky before anything of that block is
+// appended. Ordering is the durability argument: appends land first
+// (checkpoints deferred, so not yet observable), then one Sync promotes
+// the batch's checkpoints, and only then are flush barriers answered —
+// a Flush caller can never observe a checkpoint whose records are still
+// volatile, and realign's fork-point walk after Flush sees only durable
+// checkpoints. Each block op, once applied (or refused), returns its
+// batch to the pool.
 //
 // Every archive operation runs under the transient-retry policy; each
 // is individually idempotent (a failed append buffers nothing, a
@@ -375,8 +385,15 @@ func (f *Follower) writer() {
 func (f *Follower) commit(batch []*writeOp) {
 	err := f.stickyErr()
 	appends, cps := 0, 0
+	var (
+		sum  scan.Summary
+		last archive.Checkpoint
+	)
 	for _, op := range batch {
 		if op.flush != nil || err != nil {
+			continue
+		}
+		if err = f.resolve(op, &sum); err != nil {
 			continue
 		}
 		for i := range op.recs {
@@ -392,6 +409,7 @@ func (f *Follower) commit(batch []*writeOp) {
 		cp := op.cp
 		if err = f.retryWrite(func() error { return f.arc.AppendCheckpointDeferred(cp) }); err == nil {
 			cps++
+			last = cp
 		}
 	}
 	m := f.opts.Metrics
@@ -408,6 +426,10 @@ func (f *Follower) commit(batch []*writeOp) {
 	f.mu.Lock()
 	if err != nil && f.writeErr == nil {
 		f.writeErr = err
+	}
+	f.summary.Add(sum)
+	if synced {
+		f.durable, f.hasDurable = last, true
 	}
 	if appends+cps > 0 {
 		f.writerBatches++
@@ -438,6 +460,30 @@ func (f *Follower) commit(batch []*writeOp) {
 	}
 }
 
+// resolve waits for a block op's stream batch, builds the op's report
+// records from its wire bytes and folds its verdicts into sum. An op
+// built without a batch carries its records already.
+func (f *Follower) resolve(op *writeOp, sum *scan.Summary) error {
+	if op.batch == nil {
+		return nil
+	}
+	s, err := op.batch.Each(func(_ int, v scan.Verdict, raw []byte) error {
+		op.recs = append(op.recs, archive.Record{
+			Kind:   archive.KindReport,
+			TxHash: v.TxHash,
+			Block:  v.Block,
+			Flags:  verdictFlags(v),
+			Report: raw,
+		})
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("follower: block %d: %w", op.cp.Block, err)
+	}
+	sum.Add(s)
+	return nil
+}
+
 func (f *Follower) stickyErr() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -459,16 +505,21 @@ func (f *Follower) Flush() error {
 }
 
 // Step processes at most one pending block: reorg check, screen,
-// dispatch the candidates to the scan workers — which identify,
-// detect and encode — then enqueue the block's records, checkpoint and
-// encode buffers as one write op. It returns whether a block was
-// processed (false when caught up with the head).
+// submit the candidates to the scan stream — whose workers identify,
+// detect and encode — and enqueue the block's batch and checkpoint as
+// one write op. It then waits for the previous block's batch, not this
+// one's: detection runs one block ahead, overlapping the next Step and
+// the writer's commit. Step never takes the archive's lock; its reorg
+// check and lag gauge read the follower's copy of the last durable
+// checkpoint. It returns whether a block was processed (false when
+// caught up with the head).
 func (f *Follower) Step() (bool, error) {
 	if err := f.stickyErr(); err != nil {
 		return false, err
 	}
 	f.mu.Lock()
 	next, closed := f.next, f.closed
+	cp, hasCP := f.durable, f.hasDurable
 	f.mu.Unlock()
 	if closed {
 		return false, ErrClosed
@@ -499,7 +550,7 @@ func (f *Follower) Step() (bool, error) {
 
 	// Shallow-reorg check: the block we are about to extend must still be
 	// the one we checkpointed.
-	if cp, ok := f.arc.Checkpoint(); ok && cp.Block == next-1 {
+	if hasCP && cp.Block == next-1 {
 		prev, ok, err := f.blockByNumber(next - 1)
 		if err != nil {
 			return false, err
@@ -523,29 +574,20 @@ func (f *Follower) Step() (bool, error) {
 		}
 	}
 	op := opPool.Get().(*writeOp)
-	sum, wire, err := scan.EachEncoded(f.det, f.cands, f.opts.Scan, func(_ int, v scan.Verdict, raw []byte) error {
-		op.recs = append(op.recs, archive.Record{
-			Kind:   archive.KindReport,
-			TxHash: v.TxHash,
-			Block:  v.Block,
-			Flags:  verdictFlags(v),
-			Report: raw,
-		})
-		return nil
-	})
+	op.batch = f.stream.Submit(f.cands)
 	clear(f.cands) // pin no receipt until the next Step
-	op.wire = wire
-	if err != nil {
-		op.release()
-		return false, err
-	}
 	op.cp = archive.Checkpoint{Block: blk.Number, Digest: BlockDigest(blk)}
+	// Read before the enqueue: from then on the writer owns the op.
+	ahead := op.batch.Done()
 	f.queue <- op
 
 	f.mu.Lock()
 	f.next = next + 1
-	f.summary.Add(sum)
 	f.mu.Unlock()
+	if f.ahead != nil {
+		<-f.ahead
+	}
+	f.ahead = ahead
 	if m := f.opts.Metrics; m != nil {
 		m.Blocks.Inc()
 		m.QueueDepth.Set(int64(len(f.queue)))
@@ -554,12 +596,17 @@ func (f *Follower) Step() (bool, error) {
 	return true, nil
 }
 
+// durableBlock returns the height of the last durable checkpoint, 0
+// when there is none.
+func (f *Follower) durableBlock() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.durable.Block
+}
+
 // observeLag records source head minus the last durable checkpoint.
 func (f *Follower) observeLag(m *Metrics, head uint64) {
-	var cpBlock uint64
-	if cp, ok := f.arc.Checkpoint(); ok {
-		cpBlock = cp.Block
-	}
+	cpBlock := f.durableBlock()
 	var lag uint64
 	if head > cpBlock {
 		lag = head - cpBlock
@@ -602,8 +649,10 @@ func (f *Follower) realign() (bool, error) {
 	if _, err := f.arc.RollbackAbove(fork); err != nil {
 		return false, err
 	}
+	cp, hasCP := f.arc.Checkpoint()
 	f.mu.Lock()
 	f.next = fork + 1
+	f.durable, f.hasDurable = cp, hasCP
 	f.mu.Unlock()
 	if m := f.opts.Metrics; m != nil {
 		m.Reorgs.Inc()
@@ -644,8 +693,9 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// Close drains the write queue and stops the writer. The archive itself
-// stays open — it belongs to the caller.
+// Close drains the write queue and stops the writer and the scan
+// stream's workers. The archive itself stays open — it belongs to the
+// caller.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -657,20 +707,18 @@ func (f *Follower) Close() error {
 	f.mu.Unlock()
 	close(f.queue)
 	<-f.done
+	f.stream.Close()
 	return f.stickyErr()
 }
 
 // Stats snapshots progress for health endpoints. Head is the newest
-// height the source has reported to Step — a cached value, so Stats
-// never blocks on (or fails with) the source.
+// height the source has reported to Step and Checkpoint the follower's
+// copy of the last durable checkpoint — cached values, so Stats never
+// blocks on (or fails with) the source or the archive.
 func (f *Follower) Stats() Stats {
-	var cpBlock uint64
-	if cp, ok := f.arc.Checkpoint(); ok {
-		cpBlock = cp.Block
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	head := f.lastHead
+	head, cpBlock := f.lastHead, f.durable.Block
 	var lag uint64
 	if head > cpBlock {
 		lag = head - cpBlock

@@ -8,7 +8,7 @@ import (
 )
 
 // TestScanArenaReuseAcrossRuns scans the same corpus twice through one
-// engine for several worker counts, with encoded scans — which rewind
+// engine for several worker counts, with stream batches — which rewind
 // their arenas after every receipt — interleaved before, between and
 // after. The second run draws warmed arenas from the pool; its reports
 // must be byte-identical to the first run's, and both runs' reports
@@ -18,24 +18,26 @@ import (
 func TestScanArenaReuseAcrossRuns(t *testing.T) {
 	c := testCorpus(t)
 	det := frozenDetector(c)
-	encoded := func(opts scan.Options) {
-		_, wire, err := scan.EachEncoded(det, c.Receipts, opts, func(int, scan.Verdict, []byte) error { return nil })
-		wire.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := scan.Options{Workers: workers}
-		encoded(opts)
+		s := scan.NewStream(det, opts)
+		encoded := func() {
+			b := s.Submit(c.Receipts)
+			_, err := b.Each(func(int, scan.Verdict, []byte) error { return nil })
+			b.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		encoded()
 		firstReps, firstSum := scan.Scan(det, c.Receipts, opts)
 		first := make([]string, len(firstReps))
 		for i, rep := range firstReps {
 			first[i] = reportBytes(t, rep)
 		}
-		encoded(opts)
+		encoded()
 		secondReps, secondSum := scan.Scan(det, c.Receipts, opts)
-		encoded(opts)
+		encoded()
 		if secondSum != firstSum {
 			t.Fatalf("workers=%d: summary drifted across runs: %+v vs %+v", workers, secondSum, firstSum)
 		}
@@ -45,7 +47,7 @@ func TestScanArenaReuseAcrossRuns(t *testing.T) {
 			}
 		}
 		// The second run appended to the same pooled slabs and the
-		// encoded scans rewound theirs; the first run's reports must be
+		// stream batches rewound theirs; the first run's reports must be
 		// untouched.
 		for i, rep := range firstReps {
 			if got := reportBytes(t, rep); got != first[i] {
@@ -54,9 +56,10 @@ func TestScanArenaReuseAcrossRuns(t *testing.T) {
 		}
 		for i, rep := range secondReps {
 			if got := reportBytes(t, rep); got != first[i] {
-				t.Fatalf("workers=%d: second-run report %d mutated by a later encoded scan", workers, i)
+				t.Fatalf("workers=%d: second-run report %d mutated by a later stream batch", workers, i)
 			}
 		}
+		s.Close()
 	}
 }
 

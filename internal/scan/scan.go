@@ -56,7 +56,7 @@ type Arena = core.Arena
 // because reports own their data (slab regions are never rewritten):
 // an arena returned to the pool may still back live reports, and a
 // later scan only appends to its slabs. For the same reason an arena
-// from this pool is never rewound; EachEncoded keeps its own.
+// from this pool is never rewound; a Stream keeps its own.
 var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}
 
 // Options configures a scan.
@@ -155,7 +155,7 @@ func (s *Summary) observe(v Verdict) {
 // Verdict is the part of a report the engine's bookkeeping — Summary,
 // Metrics, and an archive's index flags — reads: the transaction's
 // identity, its verdict classes and its detection latency. It is what
-// EachEncoded delivers in place of the report itself.
+// a Stream delivers in place of the report itself.
 type Verdict struct {
 	TxHash types.Hash
 	Block  uint64
@@ -233,7 +233,7 @@ func Scan(det *core.Detector, receipts []*evm.Receipt, opts Options) ([]*core.Re
 func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i int, rep *core.Report) error) (Summary, error) {
 	var sum Summary
 	m := opts.Metrics
-	err := run(len(receipts), opts, nil, func(int) (func(int) *core.Report, func()) {
+	err := run(len(receipts), opts, func(int) (func(int) *core.Report, func()) {
 		scratch := arenaPool.Get().(*core.Arena)
 		inspect := func(i int) *core.Report { return inspectSafe(det, receipts[i], &scratch, m) }
 		// A closure, not a bound argument: inspectSafe swaps in a fresh
@@ -251,21 +251,20 @@ func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i i
 	return sum, err
 }
 
-// run is the engine Each and EachEncoded share. With one worker it
-// runs inline: no goroutine pool, no cursor, no re-sequencer — the
-// sequential baseline the determinism guarantee is stated against.
-// Otherwise workers claim chunk indices from an atomic cursor, write
-// results into disjoint regions of results, and announce each finished
-// chunk; the calling goroutine advances a frontier over the completed
-// chunks and hands every result to emit strictly in input order.
+// run is the engine behind Each. With one worker it runs inline: no
+// goroutine pool, no cursor, no re-sequencer — the sequential baseline
+// the determinism guarantee is stated against. Otherwise workers claim
+// chunk indices from an atomic cursor, write results into disjoint
+// regions of results, and announce each finished chunk; the calling
+// goroutine advances a frontier over the completed chunks and hands
+// every result to emit strictly in input order.
 //
 // newWorker(w) starts worker w: it returns the per-receipt function
-// and a release that runs when the worker exits. results holds the
-// in-flight results when it is long enough (nil allocates). A non-nil
-// error from emit stops the pass: workers finish their in-flight
-// chunk, nothing further is emitted, and run returns that error once
-// every worker has exited.
-func run[R any](n int, opts Options, results []R, newWorker func(w int) (func(i int) R, func()), emit func(i int, r R) error) error {
+// and a release that runs when the worker exits. A non-nil error from
+// emit stops the pass: workers finish their in-flight chunk, nothing
+// further is emitted, and run returns that error once every worker has
+// exited.
+func run(n int, opts Options, newWorker func(w int) (func(i int) *core.Report, func()), emit func(i int, rep *core.Report) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -289,9 +288,7 @@ func run[R any](n int, opts Options, results []R, newWorker func(w int) (func(i 
 		return nil
 	}
 
-	if len(results) < n {
-		results = make([]R, n)
-	}
+	results := make([]*core.Report, n)
 	var (
 		cursor atomic.Int64
 		stop   atomic.Bool
@@ -339,16 +336,15 @@ func run[R any](n int, opts Options, results []R, newWorker func(w int) (func(i 
 	completed := make([]bool, numChunks)
 	frontier := 0
 	var emitErr error
-	var zero R
 	for c := range doneCh {
 		completed[c] = true
 		for emitErr == nil && frontier < numChunks && completed[frontier] {
 			lo := frontier * cs
 			hi := min(lo+cs, n)
 			for i := lo; i < hi; i++ {
-				r := results[i]
-				results[i] = zero // release as we stream
-				if err := emit(i, r); err != nil {
+				rep := results[i]
+				results[i] = nil // release as we stream
+				if err := emit(i, rep); err != nil {
 					emitErr = err
 					stop.Store(true)
 					break

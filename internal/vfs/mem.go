@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"io"
 	gofs "io/fs"
 	"os"
@@ -41,10 +42,23 @@ type MemFS struct {
 }
 
 type memFile struct {
-	data        []byte
+	data []byte
+	// durable is the image of the last Sync. Sync aliases it to data's
+	// prefix instead of copying, so syncing an appending file costs
+	// nothing; a Write that would change bytes inside the image first
+	// gives it its own copy (detach).
 	durable     []byte
 	hasDurable  bool // durable image exists (at least one Sync, or preloaded)
 	linkDurable bool // the directory entry itself survives a crash
+}
+
+// detach runs before data is changed in place from offset off on: if
+// the durable image still shares data's array and reaches past off, it
+// is copied out so the change cannot reach it.
+func (f *memFile) detach(off int64) {
+	if off < int64(len(f.durable)) && cap(f.data) > 0 && &f.data[:1][0] == &f.durable[0] {
+		f.durable = bytes.Clone(f.durable)
+	}
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -255,6 +269,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, &gofs.PathError{Op: "write", Path: h.name, Err: gofs.ErrPermission}
 	}
 	end := h.pos + int64(len(p))
+	h.f.detach(min(h.pos, int64(len(h.f.data))))
 	if size := int64(len(h.f.data)); size < end {
 		// Grow geometrically, as append does: an appending writer must
 		// not copy the whole file on every write.
@@ -342,7 +357,7 @@ func (h *memHandle) Sync() error {
 	if h.closed {
 		return gofs.ErrClosed
 	}
-	h.f.durable = append(h.f.durable[:0], h.f.data...)
+	h.f.durable = h.f.data[:len(h.f.data):len(h.f.data)]
 	h.f.hasDurable = true
 	return nil
 }

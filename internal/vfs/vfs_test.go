@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	gofs "io/fs"
+	"math/rand"
 	"os"
 	"syscall"
 	"testing"
@@ -74,6 +75,75 @@ func TestMemFSDurability(t *testing.T) {
 	}
 	if err := f.Close(); !errors.Is(err, gofs.ErrClosed) {
 		t.Fatalf("second Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestMemFSSyncTracksChanges drives one file through random writes
+// (inside, across and past the end), truncations, O_TRUNC reopens and
+// WriteFile replacements, syncing now and then. Sync shares the file's
+// bytes with the durable image instead of copying them, so every later
+// change must leave that image alone: between syncs it must stay the
+// content of the last Sync.
+func TestMemFSSyncTracksChanges(t *testing.T) {
+	m := NewMemFS()
+	if err := m.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	open := func(flag int) File {
+		f, err := m.OpenFile("d/a", flag, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open(os.O_CREATE | os.O_RDWR)
+	if err := m.SyncDir("d"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var want []byte // the last synced image
+	for step := 0; step < 2000; step++ {
+		size, err := m.Size("d/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch op := rng.Intn(10); {
+		case op < 5:
+			p := make([]byte, 1+rng.Intn(40))
+			rng.Read(p)
+			if _, err := f.Seek(rng.Int63n(size+20), io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		case op < 7:
+			if err := f.Truncate(rng.Int63n(size + 30)); err != nil {
+				t.Fatal(err)
+			}
+		case op < 8 && rng.Intn(8) == 0:
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f = open(os.O_RDWR | os.O_TRUNC)
+		case op < 8 && rng.Intn(8) == 0:
+			p := make([]byte, rng.Intn(60))
+			rng.Read(p)
+			if err := m.WriteFile("d/a", p, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want, err = m.ReadFile("d/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.Snapshot().Durable["d/a"]; !bytes.Equal(got, want) {
+			t.Fatalf("step %d: durable image %x, want the last synced %x", step, got, want)
+		}
 	}
 }
 
