@@ -36,7 +36,9 @@
 #                 violation hard-fails the gate (bounded: ~250 crash
 #                 points, runs in seconds);
 #   fuzz-smoke  — short fuzz passes over the archive's record decoder,
-#                 the sidecar-index decoder, the uint256 small-value
+#                 the sidecar-index decoder, the list read's in-place
+#                 frame compaction (differential against a model and
+#                 per-frame reads), the uint256 small-value
 #                 fast paths (differential against math/big), and the
 #                 report JSON encoder (differential against encoding/json).
 .PHONY: check build vet lint test race bench bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke
@@ -94,7 +96,9 @@ fault-smoke:
 
 # fuzz-smoke hammers the segment decoder and the sidecar-index decoder
 # with mutated bytes (no input may panic, mis-frame, or decode to a
-# record/index that re-encodes differently), the uint256 small-value
+# record/index that re-encodes differently), the /reports list read
+# differentially against a model of the appended reports and per-frame
+# reads (fuzzed archive shapes and queries), the uint256 small-value
 # fast paths differentially against math/big (every arithmetic result,
 # rendering, and comparison must agree on mixed-limb operands), and the
 # append-form report encoder differentially against encoding/json
@@ -103,5 +107,6 @@ fault-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzSidecarDecode -fuzztime 8s ./internal/archive
+	go test -run '^$$' -fuzz FuzzAppendSelect -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzUint256FastPath -fuzztime 8s ./internal/uint256
 	go test -run '^$$' -fuzz FuzzReportAppendJSON -fuzztime 8s ./internal/core

@@ -251,6 +251,7 @@ type Archive struct {
 	wbuf    []byte           // framed records appended but not yet written to the file
 	wbase   int64            // file size on disk; wbuf logically starts at this offset
 	readers map[int]vfs.File // cached read handles, keyed by segment number
+	matched []int            // list-query gather scratch (frames indexes)
 	cache   recordCache
 	met     counters
 }
@@ -965,8 +966,8 @@ type Query struct {
 // more matches remain past the limit — the pagination signal. Whole
 // segments whose fence (block span, verdict-flag union) cannot match
 // the query are skipped without touching their frames. Select is the
-// decoded wrapper over SelectRaw's machinery; the two return
-// byte-identical report documents.
+// decoded wrapper over SelectRaw, and so over AppendSelect's run
+// reader; all three return byte-identical report documents.
 func (a *Archive) Select(q Query) ([]Record, bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -979,7 +980,7 @@ func (a *Archive) Select(q Query) ([]Record, bool, error) {
 	}
 	out := make([]Record, len(raws))
 	for i := range raws {
-		// No clone: select reads land in per-call buffers, never the cache.
+		// No clone: select reads land in a per-call buffer, never the cache.
 		out[i] = rawToRecord(raws[i], false)
 	}
 	return out, more, nil

@@ -4,21 +4,25 @@
 // The archive already stores each report as canonical JSON (the bytes
 // the follower marshalled once at ingest), so a serving layer that only
 // wants to forward those bytes should never pay decode-then-re-encode
-// tax. SelectRaw and GetRaw return RawRecord values whose Report field
-// aliases a freshly read buffer (or the shared record cache), and the
-// read itself is coalesced: consecutive matching frames of one segment
-// are fetched with a single ReadAt through a cached per-segment file
-// handle instead of an open/read/close triple per record.
+// tax. Every list query runs on one run reader (appendRunsLocked):
+// consecutive matching frames of one segment are fetched with a single
+// ReadAt through a cached per-segment file handle, straight into the
+// caller's buffer, and compacted there to comma-joined report bytes.
+// AppendSelect hands that body to the caller; SelectRaw cuts it into
+// RawRecords, and Select into Records. GetRaw reads one frame, through
+// the record cache.
 //
-// Get and Select remain the decoded API; both are now thin wrappers
-// over the raw path, so the two are byte-identical by construction —
-// a property the tests still pin on randomized archives rather than
-// trusting the construction.
+// Get and Select remain the decoded API; both are thin wrappers over
+// the raw path, so the two are byte-identical by construction — a
+// property the tests still pin on randomized archives, against a
+// per-frame reference, rather than trusting the construction.
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"leishen/internal/types"
@@ -95,48 +99,102 @@ func (a *Archive) getRawLocked(h types.Hash) (RawRecord, bool, error) {
 
 // SelectRaw is Select without the decode: matching reports in append
 // (block) order as RawRecords, plus the same more-matches pagination
-// signal. Pruning (segment fences, binary-searched range starts) and
-// cursor semantics are identical to Select — both run on one core.
+// signal. It is a view over AppendSelect's run reader: every Report
+// subslices one freshly read, compacted buffer.
 func (a *Archive) SelectRaw(q Query) ([]RawRecord, bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.selectRawLocked(&q)
 }
 
-// selectRawLocked gathers the indexes of every matching frame (bounded
-// by the query limit), then reads them with run coalescing. Gathering
-// first is what lets consecutive matches become one disk read.
+// selectRawLocked reads q's page through appendSelectLocked and cuts
+// the comma-joined body back into records. The metadata comes from the
+// index entries the run reader checked each frame against, and each
+// report's length from its frame size, so no byte is parsed twice.
 func (a *Archive) selectRawLocked(q *Query) ([]RawRecord, bool, error) {
+	body, page, err := a.appendSelectLocked(nil, q)
+	if err != nil || page.Count == 0 {
+		return nil, page.More, err
+	}
+	out := make([]RawRecord, 0, page.Count)
+	off := 0
+	for _, i := range a.matched[:page.Count] {
+		ref := &a.frames[i]
+		// A report frame is its report plus header, kind byte and report header.
+		end := off + int(ref.size) - frameHeaderSize - 1 - reportHeaderSize
+		out = append(out, RawRecord{TxHash: ref.txHash, Block: ref.block, Flags: ref.flags, Report: body[off:end:end]})
+		off = end + 1 // the separating comma
+	}
+	return out, page.More, nil
+}
+
+// ErrUnknownCursor is returned (wrapped) by the list queries when
+// Query.After names a transaction the archive does not hold — a client
+// error, unlike a failed read or a checksum mismatch.
+var ErrUnknownCursor = errors.New("archive: unknown pagination cursor")
+
+// SelectPage describes the page AppendSelect appended.
+type SelectPage struct {
+	// Count is the number of reports appended.
+	Count int
+	// Last is the tx hash of the last report appended — the After
+	// cursor for the next page when More is set.
+	Last types.Hash
+	// More is true only when a further match exists past the limit.
+	More bool
+}
+
+// AppendSelect appends the report documents matching q to dst, in
+// append (block) order and separated by commas — the inside of a JSON
+// array — and describes the page. Pruning, cursor and limit semantics
+// are Select's. On error dst is returned unextended.
+//
+// Each coalesced run of frames is read straight into dst's spare
+// capacity and compacted there: every frame is checksum-verified where
+// it landed, then its report bytes are moved down over the frame
+// header. A serving layer that appends into a pooled buffer therefore
+// gets the response body without any intermediate read buffer.
+func (a *Archive) AppendSelect(dst []byte, q Query) ([]byte, SelectPage, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.appendSelectLocked(dst, &q)
+}
+
+// appendSelectLocked gathers q's matching frame indexes into the
+// archive's scratch, then reads them with the run reader. Gathering
+// first is what lets consecutive matches become one disk read. On
+// return a.matched[:page.Count] still holds the page's frame indexes.
+func (a *Archive) appendSelectLocked(dst []byte, q *Query) ([]byte, SelectPage, error) {
 	minIdx := 0
 	if !q.After.IsZero() {
 		i, ok := a.lookupTxLocked(q.After)
 		if !ok {
-			return nil, false, fmt.Errorf("archive: unknown pagination cursor %s", q.After)
+			return dst, SelectPage{}, fmt.Errorf("%w %s", ErrUnknownCursor, q.After)
 		}
 		minIdx = i + 1
 	}
-	var matched []int
-	var more bool
+	var page SelectPage
 	if a.opts.NoPrune {
-		matched, more = a.gatherLinearLocked(q, minIdx)
+		a.matched, page.More = a.gatherLinearLocked(a.matched[:0], q, minIdx)
 	} else {
-		matched, more = a.gatherPrunedLocked(q, minIdx)
+		a.matched, page.More = a.gatherPrunedLocked(a.matched[:0], q, minIdx)
 	}
-	if len(matched) == 0 {
-		return nil, more, nil
-	}
-	out, err := a.readRawFramesLocked(matched)
+	dst, err := a.appendRunsLocked(dst, a.matched)
 	if err != nil {
-		return nil, false, err
+		return dst, SelectPage{}, err
 	}
-	return out, more, nil
+	page.Count = len(a.matched)
+	if page.Count > 0 {
+		page.Last = a.frames[a.matched[page.Count-1]].txHash
+	}
+	return dst, page, nil
 }
 
-// gatherPrunedLocked walks the segments fence-first, collecting the
-// frame indexes a query matches. The returned bool is the pagination
-// more flag: true only when a further match exists past the limit.
-func (a *Archive) gatherPrunedLocked(q *Query, minIdx int) ([]int, bool) {
-	var matched []int
+// gatherPrunedLocked walks the segments fence-first, appending the
+// frame indexes a query matches to matched. The returned bool is the
+// pagination more flag: true only when a further match exists past the
+// limit.
+func (a *Archive) gatherPrunedLocked(matched []int, q *Query, minIdx int) ([]int, bool) {
 	for s := range a.segs {
 		seg := &a.segs[s]
 		end := a.segEndLocked(s)
@@ -182,14 +240,13 @@ func (a *Archive) gatherPrunedLocked(q *Query, minIdx int) ([]int, bool) {
 
 // gatherLinearLocked is the NoPrune reference gather: one binary search
 // for the range start, then a linear walk over every frame.
-func (a *Archive) gatherLinearLocked(q *Query, minIdx int) ([]int, bool) {
+func (a *Archive) gatherLinearLocked(matched []int, q *Query, minIdx int) ([]int, bool) {
 	start := sort.Search(len(a.frames), func(i int) bool {
 		return a.frames[i].block >= q.FromBlock
 	})
 	if start < minIdx {
 		start = minIdx
 	}
-	var matched []int
 	for i := start; i < len(a.frames); i++ {
 		f := &a.frames[i]
 		if q.ToBlock != 0 && f.block > q.ToBlock {
@@ -206,27 +263,40 @@ func (a *Archive) gatherLinearLocked(q *Query, minIdx int) ([]int, bool) {
 	return matched, false
 }
 
-// readRawFramesLocked reads the frames at the given indexes (ascending)
-// into RawRecords. Frames still sitting in the pending write buffer are
-// copied out individually; disk frames are grouped into runs — same
+// appendRunsLocked is the archive's one list-read mechanism: it appends
+// the reports of the frames at idxs (ascending), comma-separated, to
+// dst. Frames still in the pending write buffer are validated and
+// appended from there. Disk frames are grouped into runs — same
 // segment, bounded gaps, bounded total span — and each run costs one
-// ReadAt on the segment's cached read handle.
-func (a *Archive) readRawFramesLocked(idxs []int) ([]RawRecord, error) {
-	out := make([]RawRecord, 0, len(idxs))
+// ReadAt, straight into dst's spare capacity, where it is compacted in
+// place: each frame is checked (reportFrame) before any of its bytes
+// move, then a comma and its report are written at the cursor.
+//
+// The cursor never passes the start of the next unread frame: a frame
+// is frameHeaderSize+1+reportHeaderSize bytes longer than its report,
+// and only one separator byte is written per report, so compaction
+// only ever moves bytes down (copy handles the overlap). On error dst
+// is returned unextended.
+func (a *Archive) appendRunsLocked(dst []byte, idxs []int) ([]byte, error) {
+	start := len(dst)
 	for i := 0; i < len(idxs); {
-		first := a.frames[idxs[i]]
+		first := &a.frames[idxs[i]]
 		if a.frameBufferedLocked(first) {
-			raw, err := a.readRawFrameLocked(first)
+			off := first.off - a.wbase
+			report, err := reportFrame(a.wbuf[off:off+first.size], first)
 			if err != nil {
-				return nil, err
+				return dst[:start], err
 			}
-			out = append(out, raw)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, report...)
 			i++
 			continue
 		}
 		j := i + 1
 		for j < len(idxs) {
-			prev, next := a.frames[idxs[j-1]], a.frames[idxs[j]]
+			prev, next := &a.frames[idxs[j-1]], &a.frames[idxs[j]]
 			if next.seg != prev.seg || a.frameBufferedLocked(next) {
 				break
 			}
@@ -238,28 +308,53 @@ func (a *Archive) readRawFramesLocked(idxs []int) ([]RawRecord, error) {
 			}
 			j++
 		}
-		last := a.frames[idxs[j-1]]
-		buf := make([]byte, last.off+last.size-first.off)
+		last := &a.frames[idxs[j-1]]
 		f, err := a.readerLocked(first.seg)
 		if err != nil {
-			return nil, err
+			return dst[:start], err
 		}
-		if _, err := f.ReadAt(buf, first.off); err != nil {
-			return nil, fmt.Errorf("archive: read frame run: %w", err)
+		runStart := len(dst)
+		span := int(last.off + last.size - first.off)
+		dst = slices.Grow(dst, span)
+		run := dst[:runStart+span]
+		if _, err := f.ReadAt(run[runStart:], first.off); err != nil {
+			return dst[:start], fmt.Errorf("archive: read frame run: %w", err)
 		}
 		a.met.readRuns.Inc()
 		a.met.readFrames.Add(uint64(j - i))
+		w := runStart
 		for k := i; k < j; k++ {
-			ref := a.frames[idxs[k]]
-			raw, _, err := decodeRawRecord(buf[ref.off-first.off : ref.off-first.off+ref.size])
+			ref := &a.frames[idxs[k]]
+			at := runStart + int(ref.off-first.off)
+			report, err := reportFrame(run[at:at+int(ref.size)], ref)
 			if err != nil {
-				return nil, fmt.Errorf("archive: stored frame invalid: %w", err)
+				return dst[:start], err
 			}
-			out = append(out, raw)
+			if k > 0 {
+				run[w] = ','
+				w++
+			}
+			w += copy(run[w:], report)
 		}
+		dst = run[:w]
 		i = j
 	}
-	return out, nil
+	return dst, nil
+}
+
+// reportFrame validates one stored report frame where it lies — length
+// cap, CRC32C, kind and payload structure as decodeRawRecord checks
+// them, plus agreement with the frame's index entry — and returns its
+// report bytes as a subslice of b.
+func reportFrame(b []byte, ref *frameRef) ([]byte, error) {
+	raw, n, err := decodeRawRecord(b)
+	if err != nil {
+		return nil, fmt.Errorf("archive: stored frame invalid: %w", err)
+	}
+	if n != len(b) || raw.TxHash != ref.txHash || raw.Block != ref.block || raw.Flags != ref.flags {
+		return nil, fmt.Errorf("archive: stored frame invalid: %w: frame at offset %d disagrees with its index entry", errBadFrame, ref.off)
+	}
+	return raw.Report, nil
 }
 
 // readRawFrameLocked reads and raw-decodes one report frame into a
@@ -280,7 +375,7 @@ func (a *Archive) readRawFrameLocked(ref frameRef) (RawRecord, error) {
 // pending write buffer rather than the segment file. Frames never
 // straddle wbase: the buffer starts at a frame boundary and is always
 // written out whole.
-func (a *Archive) frameBufferedLocked(ref frameRef) bool {
+func (a *Archive) frameBufferedLocked(ref *frameRef) bool {
 	return ref.seg == len(a.segs)-1 && ref.off >= a.wbase
 }
 
@@ -288,7 +383,7 @@ func (a *Archive) frameBufferedLocked(ref frameRef) bool {
 // out of the pending write buffer when not yet flushed, read from disk
 // through the segment's cached handle otherwise.
 func (a *Archive) frameBytesLocked(ref frameRef) ([]byte, error) {
-	if a.frameBufferedLocked(ref) {
+	if a.frameBufferedLocked(&ref) {
 		i := ref.off - a.wbase
 		return append([]byte(nil), a.wbuf[i:i+ref.size]...), nil
 	}

@@ -319,17 +319,20 @@ func (f *Follower) retryWrite(op func() error) error {
 
 // BlockDigest fingerprints a block for checkpointing: its height,
 // timestamp and ordered transaction hashes. Two blocks at the same
-// height with different contents — a reorg — digest differently.
+// height with different contents — a reorg — digest differently. It is
+// types.HashFromData over those parts, streamed so that Step's serial
+// path allocates nothing per block.
 func BlockDigest(b *evm.Block) types.Hash {
-	parts := make([][]byte, 0, 2+len(b.Receipts))
 	var nb, tb [8]byte
 	binary.BigEndian.PutUint64(nb[:], b.Number)
 	binary.BigEndian.PutUint64(tb[:], uint64(b.Time.UnixNano()))
-	parts = append(parts, nb[:], tb[:])
+	h := types.NewDataHasher()
+	h.Part(nb[:])
+	h.Part(tb[:])
 	for _, r := range b.Receipts {
-		parts = append(parts, r.TxHash[:])
+		h.Part(r.TxHash[:])
 	}
-	return types.HashFromData(parts...)
+	return h.Sum()
 }
 
 // writer is the single goroutine that owns archive appends. It group

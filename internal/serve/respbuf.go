@@ -3,13 +3,14 @@
 // Content-Length. Compared to json.NewEncoder(w) per request this
 // removes the encoder allocation, the encoder's internal scratch
 // growth, and chunked transfer encoding — the response is one
-// header-complete write. Each pooled buffer carries a json.Encoder
-// permanently wired to it, so dynamic payloads (/healthz, /batch) also
-// encode without a per-request encoder.
+// header-complete write. The buffer is a plain byte slice, so
+// append-form producers (archive.AppendSelect for /reports) write into
+// it directly. Each pooled buffer carries a json.Encoder permanently
+// wired to it, so dynamic payloads (/healthz, /batch) also encode
+// without a per-request encoder.
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -29,8 +30,14 @@ var (
 
 // respBuf is one pooled response buffer plus its dedicated encoder.
 type respBuf struct {
-	buf bytes.Buffer
+	b   []byte
 	enc *json.Encoder
+}
+
+// Write appends p to the buffer; it is the encoder's sink.
+func (rb *respBuf) Write(p []byte) (int, error) {
+	rb.b = append(rb.b, p...)
+	return len(p), nil
 }
 
 // maxPooledRespBytes bounds what the pool retains: a buffer grown past
@@ -40,19 +47,19 @@ const maxPooledRespBytes = 1 << 20
 var respPool = sync.Pool{New: func() any {
 	respPoolAllocs.Inc()
 	rb := &respBuf{}
-	rb.enc = json.NewEncoder(&rb.buf)
+	rb.enc = json.NewEncoder(rb)
 	return rb
 }}
 
 func getRespBuf() *respBuf {
 	respPoolGets.Inc()
 	rb := respPool.Get().(*respBuf)
-	rb.buf.Reset()
+	rb.b = rb.b[:0]
 	return rb
 }
 
 func putRespBuf(rb *respBuf) {
-	if rb.buf.Cap() > maxPooledRespBytes {
+	if cap(rb.b) > maxPooledRespBytes {
 		return
 	}
 	respPool.Put(rb)
@@ -63,10 +70,10 @@ func putRespBuf(rb *respBuf) {
 // the pool.
 func writeBuf(w http.ResponseWriter, status int, rb *respBuf) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(rb.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(rb.b)))
 	w.WriteHeader(status)
 	//lint:allow errflow headers are already sent; a failed body write has no recovery path
-	_, _ = w.Write(rb.buf.Bytes())
+	_, _ = w.Write(rb.b)
 	putRespBuf(rb)
 }
 

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"mime"
 	"net/http"
 	"strconv"
@@ -279,32 +280,39 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		s.reportsDecoded(w, q)
 		return
 	}
-	recs, more, err := s.arc.SelectRaw(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	// Assemble the ReportsResponse envelope by hand around the stored
-	// bytes — no unmarshal, no re-encode. The layout must stay
+	// bytes, which AppendSelect lands straight in the pooled buffer — no
+	// unmarshal, no re-encode, no intermediate copy. The layout must stay
 	// byte-identical to writeJSON(ReportsResponse{...}); the raw-vs-
 	// decoded regression tests hold it there.
 	rb := getRespBuf()
-	rb.buf.WriteString(`{"reports":[`)
-	for i := range recs {
-		if i > 0 {
-			rb.buf.WriteByte(',')
-		}
-		rb.buf.Write(recs[i].Report)
+	rb.b = append(rb.b, `{"reports":[`...)
+	var page archive.SelectPage
+	rb.b, page, err = s.arc.AppendSelect(rb.b, q)
+	if err != nil {
+		putRespBuf(rb)
+		writeError(w, selectErrStatus(err), err.Error())
+		return
 	}
-	rb.buf.WriteString(`],"more":`)
-	rb.buf.WriteString(strconv.FormatBool(more))
-	if more && len(recs) > 0 {
-		rb.buf.WriteString(`,"nextAfter":"`)
-		rb.buf.WriteString(recs[len(recs)-1].TxHash.String())
-		rb.buf.WriteByte('"')
+	rb.b = append(rb.b, `],"more":`...)
+	rb.b = strconv.AppendBool(rb.b, page.More)
+	if page.More && page.Count > 0 {
+		rb.b = append(rb.b, `,"nextAfter":"`...)
+		rb.b = page.Last.AppendHex(rb.b)
+		rb.b = append(rb.b, '"')
 	}
-	rb.buf.WriteString("}\n")
+	rb.b = append(rb.b, "}\n"...)
 	writeBuf(w, http.StatusOK, rb)
+}
+
+// selectErrStatus maps a list-query failure to its status: an unknown
+// pagination cursor is the client's mistake (400); a failed read or a
+// stored frame failing its checksum is the server's (500).
+func selectErrStatus(err error) int {
+	if errors.Is(err, archive.ErrUnknownCursor) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // reportsDecoded is the legacy /reports body: decoded records
@@ -314,7 +322,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 func (s *Server) reportsDecoded(w http.ResponseWriter, q archive.Query) {
 	recs, more, err := s.arc.Select(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, selectErrStatus(err), err.Error())
 		return
 	}
 	resp := ReportsResponse{Reports: make([]json.RawMessage, len(recs)), More: more}
@@ -373,8 +381,8 @@ func (s *Server) handleReportByTx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rb := getRespBuf()
-	rb.buf.Write(rec.Report)
-	rb.buf.WriteByte('\n')
+	rb.b = append(rb.b, rec.Report...)
+	rb.b = append(rb.b, '\n')
 	writeBuf(w, http.StatusOK, rb)
 }
 

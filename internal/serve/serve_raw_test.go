@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"sync"
 	"testing"
 
 	"leishen/internal/archive"
 	"leishen/internal/types"
+	"leishen/internal/vfs"
 )
 
 // rawTestArchive appends n randomized report records (varying flags,
@@ -247,5 +249,83 @@ func TestRawServingConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReportsServerFaultIs500 pins the /reports status mapping: a
+// stored frame that fails its checksum is the server's fault (500) on
+// both serving paths, while an unknown cursor stays a 400.
+func TestReportsServerFaultIs500(t *testing.T) {
+	fs := vfs.NewMemFS()
+	arc, err := archive.OpenFS(fs, "arc", archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arc.Close()
+	var hashes []types.Hash
+	for i := 0; i < 6; i++ {
+		rec := archive.Record{
+			Kind:   archive.KindReport,
+			TxHash: types.HashFromData([]byte("fault"), []byte{byte(i)}),
+			Block:  uint64(1 + i),
+			Flags:  archive.FlagFlashLoan,
+			Report: []byte(fmt.Sprintf(`{"i":%d}`, i)),
+		}
+		if err := arc.AppendReport(&rec); err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, rec.TxHash)
+	}
+	if err := arc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rawH, decH := rawAndDecodedHandlers(arc)
+	for _, h := range []http.Handler{rawH, decH} {
+		if rr := get(t, h, "/reports"); rr.Code != http.StatusOK {
+			t.Fatalf("intact archive: status %d (%s)", rr.Code, rr.Body.Bytes())
+		}
+	}
+
+	// Flip the last byte of the last report's JSON through a second
+	// handle: the frame no longer matches its CRC.
+	f, err := fs.OpenFile("arc/seg-00000001.log", os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], size-1); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.Seek(size-1, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, h := range map[string]http.Handler{"raw": rawH, "decoded": decH} {
+		rr := get(t, h, "/reports")
+		if rr.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: corrupt frame answered %d, want 500 (%s)", name, rr.Code, rr.Body.Bytes())
+		}
+		var v map[string]any
+		if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil || v["error"] == nil {
+			t.Fatalf("%s: corrupt frame reply %s is not a JSON error object", name, rr.Body.Bytes())
+		}
+		if rr := get(t, h, "/reports?after="+types.HashFromData([]byte("never stored")).String()); rr.Code != http.StatusBadRequest {
+			t.Fatalf("%s: unknown cursor answered %d, want 400", name, rr.Code)
+		}
+		// A page that stops before the damaged frame is still served.
+		if rr := get(t, h, "/reports?limit=2&after="+hashes[0].String()); rr.Code != http.StatusOK {
+			t.Fatalf("%s: intact page answered %d, want 200 (%s)", name, rr.Code, rr.Body.Bytes())
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 
 	"leishen/internal/uint256"
 )
@@ -85,20 +85,71 @@ type Hash [32]byte
 
 // HashFromData deterministically hashes arbitrary byte slices into a Hash.
 func HashFromData(parts ...[]byte) Hash {
-	h := fnv.New128a()
+	h := NewDataHasher()
 	for _, p := range parts {
-		var lb [8]byte
-		binary.BigEndian.PutUint64(lb[:], uint64(len(p)))
-		h.Write(lb[:])
-		h.Write(p)
+		h.Part(p)
 	}
-	sum := h.Sum(nil)
+	return h.Sum()
+}
+
+// DataHasher is HashFromData as a stream: feeding parts one at a time
+// through Part, then Sum, yields exactly HashFromData(parts...). Each
+// part is length-prefixed (8 bytes big-endian) and hashed with 128-bit
+// FNV-1a; the upper half of the Hash is a 128-bit FNV-1 round over the
+// lower half, so all 32 bytes carry entropy. The state is two words
+// held by value, so hashing allocates nothing.
+type DataHasher struct{ hi, lo uint64 }
+
+// FNV-128 parameters: the offset basis, and the prime 2^88 + 0x13b as
+// its low word and the shift of its high bit.
+const (
+	fnv128OffsetHi = 0x6c62272e07bb0142
+	fnv128OffsetLo = 0x62b821756295c58d
+	fnv128PrimeLo  = 0x13b
+	fnv128Shift    = 24
+)
+
+// NewDataHasher returns a hasher at the FNV offset basis.
+func NewDataHasher() DataHasher {
+	return DataHasher{hi: fnv128OffsetHi, lo: fnv128OffsetLo}
+}
+
+// mul multiplies the state by the FNV-128 prime, mod 2^128.
+func (d *DataHasher) mul() {
+	hi, lo := bits.Mul64(fnv128PrimeLo, d.lo)
+	d.hi = hi + d.lo<<fnv128Shift + fnv128PrimeLo*d.hi
+	d.lo = lo
+}
+
+// write folds p in FNV-1a order: xor, then multiply.
+func (d *DataHasher) write(p []byte) {
+	for _, c := range p {
+		d.lo ^= uint64(c)
+		d.mul()
+	}
+}
+
+// Part hashes one length-prefixed part.
+func (d *DataHasher) Part(p []byte) {
+	var lb [8]byte
+	binary.BigEndian.PutUint64(lb[:], uint64(len(p)))
+	d.write(lb[:])
+	d.write(p)
+}
+
+// Sum returns the Hash of the parts fed so far.
+func (d *DataHasher) Sum() Hash {
 	var out Hash
-	copy(out[:16], sum)
-	// Second round for the upper half so the full 32 bytes carry entropy.
-	h2 := fnv.New128()
-	h2.Write(sum)
-	copy(out[16:], h2.Sum(nil))
+	binary.BigEndian.PutUint64(out[0:8], d.hi)
+	binary.BigEndian.PutUint64(out[8:16], d.lo)
+	// The upper half is FNV-1 (multiply, then xor) over the lower half.
+	up := NewDataHasher()
+	for _, c := range out[:16] {
+		up.mul()
+		up.lo ^= uint64(c)
+	}
+	binary.BigEndian.PutUint64(out[16:24], up.hi)
+	binary.BigEndian.PutUint64(out[24:32], up.lo)
 	return out
 }
 
