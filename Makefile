@@ -39,11 +39,15 @@
 #                 the sidecar-index decoder, the list read's in-place
 #                 frame compaction (differential against a model and
 #                 per-frame reads), the uint256 small-value
-#                 fast paths (differential against math/big), and the
-#                 report JSON encoder (differential against encoding/json).
-.PHONY: check build vet lint test race bench bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke
+#                 fast paths (differential against math/big), the
+#                 report JSON encoder (differential against encoding/json),
+#                 and the detector over mutated corpus receipts;
+#   perfbench   — the end-to-end benchmark's nested module builds against
+#                 the current packages and its scale-1 self-test passes
+#                 (the root `go build ./...` never compiles it).
+.PHONY: check build vet lint test race bench bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke perfbench
 
-check: build vet lint test race bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke
+check: build vet lint test race bench-smoke bench-serve-smoke bench-metrics-smoke bench-scan-smoke fault-smoke fuzz-smoke perfbench
 
 build:
 	go build ./...
@@ -100,13 +104,23 @@ fault-smoke:
 # differentially against a model of the appended reports and per-frame
 # reads (fuzzed archive shapes and queries), the uint256 small-value
 # fast paths differentially against math/big (every arithmetic result,
-# rendering, and comparison must agree on mixed-limb operands), and the
+# rendering, and comparison must agree on mixed-limb operands), the
 # append-form report encoder differentially against encoding/json
 # (random strings, amounts, floats and times: identical bytes, identical
-# failures, valid JSON that round-trips through the decode schema).
+# failures, valid JSON that round-trips through the decode schema), and
+# the detector over corpus receipts with logs dropped, duplicated,
+# reordered or truncated and amounts at zero or the uint256 maximum (no
+# panic, a fresh and a reused arena give identical report bytes, the
+# report round-trips through the decode schema).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzSidecarDecode -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzAppendSelect -fuzztime 8s ./internal/archive
 	go test -run '^$$' -fuzz FuzzUint256FastPath -fuzztime 8s ./internal/uint256
 	go test -run '^$$' -fuzz FuzzReportAppendJSON -fuzztime 8s ./internal/core
+	go test -run '^$$' -fuzz FuzzInspect -fuzztime 8s ./internal/core
+
+# perfbench is a nested module, so only this step compiles it: an API
+# the benchmark uses cannot be removed without failing here.
+perfbench:
+	cd perfbench && go test ./...

@@ -14,6 +14,7 @@ import (
 	"leishen/internal/tagging"
 	"leishen/internal/trace"
 	"leishen/internal/trades"
+	"leishen/internal/types"
 	"leishen/internal/uint256"
 	"leishen/internal/world"
 )
@@ -252,12 +253,16 @@ func BenchmarkDetectionLatencyAttackTx(b *testing.B) {
 // Pipeline stage benches: where the per-transaction budget goes.
 // ---------------------------------------------------------------------
 
+// The stage benches time the interned stages InspectScratch runs, each
+// on a reused buffer the way a scanning worker reuses its arena.
+
 func BenchmarkStageExtract(b *testing.B) {
 	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
+	in := trace.NewInterner(res.Env.Registry)
+	var buf []types.ITransfer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(ex.Extract(res.Receipt)) == 0 {
+		if buf = trace.ExtractInterned(buf[:0], in, res.Receipt); len(buf) == 0 {
 			b.Fatal("no transfers")
 		}
 	}
@@ -265,15 +270,18 @@ func BenchmarkStageExtract(b *testing.B) {
 
 func BenchmarkStageTagAndSimplify(b *testing.B) {
 	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
 	tg := tagging.New(res.Env.Chain)
-	transfers := ex.Extract(res.Receipt)
-	opts := simplify.Options{WETH: res.Env.WETH}
+	in := trace.NewInterner(res.Env.Registry)
+	rules := simplify.ResolveRules(simplify.Options{WETH: res.Env.WETH}, tg.IDOfTag, in.IDOf)
+	transfers := trace.ExtractInterned(nil, in, res.Receipt)
+	buf := make([]types.ITransfer, len(transfers))
+	var s simplify.IScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tagged := tg.TagTransfers(transfers)
-		if len(simplify.Simplify(tagged, opts)) == 0 {
+		copy(buf, transfers)
+		tg.TagTransferIDs(buf)
+		if len(simplify.SimplifyInterned(buf, rules, &s)) == 0 {
 			b.Fatal("no app transfers")
 		}
 	}
@@ -281,18 +289,25 @@ func BenchmarkStageTagAndSimplify(b *testing.B) {
 
 func BenchmarkStageTradesAndMatch(b *testing.B) {
 	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
-	tg := tagging.New(res.Env.Chain)
-	appTransfers := simplify.Simplify(tg.TagTransfers(ex.Extract(res.Receipt)), simplify.Options{WETH: res.Env.WETH})
-	borrower := tg.Tag(res.AttackContract)
-	th := core.DefaultThresholds()
+	det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{
+		Simplify: simplify.Options{WETH: res.Env.WETH},
+	})
+	tg, in := det.Tagger(), det.Interner()
+	transfers := trace.ExtractInterned(nil, in, res.Receipt)
+	tg.TagTransferIDs(transfers)
+	rules := simplify.ResolveRules(simplify.Options{WETH: res.Env.WETH}, tg.IDOfTag, in.IDOf)
+	appTransfers := simplify.SimplifyInterned(transfers, rules, &simplify.IScratch{})
+	borrowers := []types.TagID{tg.TagIDOf(res.AttackContract)}
+	arena := core.NewArena()
+	var list []types.ITrade
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		list := trades.Identify(appTransfers)
-		if len(core.MatchPatterns(list, borrower, th)) == 0 {
+		list = trades.IdentifyInterned(list[:0], appTransfers)
+		if len(det.MatchTrades(list, borrowers, arena)) == 0 {
 			b.Fatal("no match")
 		}
+		arena.Rewind()
 	}
 }
 

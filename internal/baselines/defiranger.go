@@ -25,13 +25,13 @@ import (
 
 // DeFiRanger detects price manipulation on account-level transfers.
 type DeFiRanger struct {
-	extractor *trace.Extractor
-	weth      types.Token
+	tokens *trace.Interner
+	weth   types.Address
 }
 
 // NewDeFiRanger builds the baseline over a token resolver.
 func NewDeFiRanger(tokens trace.TokenResolver, weth types.Token) *DeFiRanger {
-	return &DeFiRanger{extractor: trace.NewExtractor(tokens), weth: weth}
+	return &DeFiRanger{tokens: trace.NewInterner(tokens), weth: weth.Address}
 }
 
 // Detect reports whether the transaction contains a profitable
@@ -42,35 +42,38 @@ func (d *DeFiRanger) Detect(r *evm.Receipt) bool {
 	if len(loans) == 0 {
 		return false
 	}
-	transfers := d.extractor.Extract(r)
+	transfers := trace.ExtractInterned(nil, d.tokens, r)
 
-	// Account-level lifting: identity tags, WETH unified with ETH and
-	// wrap/unwrap legs against the WETH contract dropped (DeFiRanger
-	// understands WETH), but no application tagging and no merging.
-	var lifted []types.AppTransfer
+	// Account-level lifting: every account is its own party (ids issued
+	// per address, never NoTagID), WETH unified with ETH and wrap/unwrap
+	// legs against the WETH contract dropped (DeFiRanger understands
+	// WETH), but no application tagging and no merging.
+	accounts := make(map[types.Address]types.TagID)
+	party := func(a types.Address) types.TagID {
+		id, ok := accounts[a]
+		if !ok {
+			id = types.TagID(len(accounts) + 1)
+			accounts[a] = id
+		}
+		return id
+	}
+	weth := d.tokens.IDOf(d.weth)
+	lifted := transfers[:0]
 	for _, t := range transfers {
-		if t.Sender == d.weth.Address || t.Receiver == d.weth.Address {
+		if t.Sender == d.weth || t.Receiver == d.weth {
 			continue
 		}
-		tok := t.Token
-		if tok.Address == d.weth.Address {
-			tok = types.ETH
+		if t.Token == weth {
+			t.Token = types.ETHTokenID
 		}
-		lifted = append(lifted, types.AppTransfer{
-			Seq:           t.Seq,
-			Sender:        types.RootTag(t.Sender),
-			Receiver:      types.RootTag(t.Receiver),
-			FromBlackHole: t.Sender.IsZero(),
-			ToBlackHole:   t.Receiver.IsZero(),
-			Amount:        t.Amount,
-			Token:         tok,
-		})
+		t.SenderTag, t.ReceiverTag = party(t.Sender), party(t.Receiver)
+		t.FromBlackHole, t.ToBlackHole = t.Sender.IsZero(), t.Receiver.IsZero()
+		lifted = append(lifted, t)
 	}
-	tradeList := trades.Identify(lifted)
+	tradeList := trades.IdentifyInterned(nil, lifted)
 
 	for _, loan := range loans {
-		borrower := types.RootTag(loan.Borrower)
-		if d.profitableRound(tradeList, borrower) {
+		if profitableRound(tradeList, party(loan.Borrower)) {
 			return true
 		}
 	}
@@ -80,16 +83,13 @@ func (d *DeFiRanger) Detect(r *evm.Receipt) bool {
 // profitableRound looks for buy trade b and later sell trade s of the
 // same token, by the borrower, against the same counterparty account,
 // with sell rate above buy rate.
-func (d *DeFiRanger) profitableRound(list []types.Trade, borrower types.Tag) bool {
+func profitableRound(list []types.ITrade, borrower types.TagID) bool {
 	for i, b := range list {
 		if b.Buyer != borrower {
 			continue
 		}
 		for _, s := range list[i+1:] {
-			if s.Buyer != borrower || s.Seller != b.Seller {
-				continue
-			}
-			if !sameToken(s.TokenSell, b.TokenBuy) {
+			if s.Buyer != borrower || s.Seller != b.Seller || s.TokenSell != b.TokenBuy {
 				continue
 			}
 			// buyRate = b.AmountSell/b.AmountBuy < sellRate = s.AmountBuy/s.AmountSell
@@ -99,8 +99,4 @@ func (d *DeFiRanger) profitableRound(list []types.Trade, borrower types.Tag) boo
 		}
 	}
 	return false
-}
-
-func sameToken(a, b types.Token) bool {
-	return a.Address == b.Address && a.IsETH() == b.IsETH()
 }

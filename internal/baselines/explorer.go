@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"leishen/internal/core"
 	"leishen/internal/dex"
 	"leishen/internal/evm"
@@ -16,69 +18,52 @@ import (
 // trade events contribute nothing, which caps its recall at 4 of the 22
 // known attacks in the paper.
 type Explorer struct {
-	tagger *tagging.Tagger
-	tokens trace.TokenResolver
-	th     core.Thresholds
+	det *core.Detector
 }
 
 // NewExplorer builds the baseline over a chain snapshot.
 func NewExplorer(view tagging.ChainView, tokens trace.TokenResolver, th core.Thresholds) *Explorer {
-	if th == (core.Thresholds{}) {
-		th = core.DefaultThresholds()
-	}
-	return &Explorer{tagger: tagging.New(view), tokens: tokens, th: th}
+	return &Explorer{det: core.NewDetector(view, tokens, core.Options{Thresholds: th})}
 }
 
-// Trades extracts the explorer-visible trade list of a transaction.
-func (e *Explorer) Trades(r *evm.Receipt) []types.Trade {
+// Trades extracts the explorer-visible trade list of a transaction, with
+// parties and tokens interned by the baseline's tagger and interner.
+func (e *Explorer) Trades(r *evm.Receipt) []types.ITrade {
 	if r == nil || !r.Success {
 		return nil
 	}
-	var out []types.Trade
+	tagger, tokens := e.det.Tagger(), e.det.Interner()
+	var out []types.ITrade
 	for _, lg := range r.Logs {
 		if lg.Event != dex.TradeActionEvent || len(lg.Addrs) != 3 || len(lg.Amounts) != 2 {
 			continue
 		}
-		out = append(out, types.Trade{
+		out = append(out, types.ITrade{
 			Kind:       types.TradeSwap,
-			Buyer:      e.tagger.Tag(lg.Addrs[0]),
-			Seller:     e.tagger.Tag(lg.Address),
+			Buyer:      tagger.TagIDOf(lg.Addrs[0]),
+			Seller:     tagger.TagIDOf(lg.Address),
 			AmountSell: lg.Amounts[0],
-			TokenSell:  e.resolve(lg.Addrs[1]),
+			TokenSell:  tokens.IDOf(lg.Addrs[1]),
 			AmountBuy:  lg.Amounts[1],
-			TokenBuy:   e.resolve(lg.Addrs[2]),
+			TokenBuy:   tokens.IDOf(lg.Addrs[2]),
 			Seq:        lg.Seq,
 		})
 	}
 	return out
 }
 
-func (e *Explorer) resolve(addr types.Address) types.Token {
-	if addr.IsZero() {
-		return types.ETH
-	}
-	if t, ok := e.tokens.Resolve(addr); ok {
-		return t
-	}
-	return types.Token{Address: addr, Symbol: "UNK", Decimals: 18}
-}
-
-// Detect runs the LeiShen patterns over the explorer trade list.
+// Detect runs the LeiShen patterns over the explorer trade list, once
+// per distinct flash loan borrower tag.
 func (e *Explorer) Detect(r *evm.Receipt) []core.Match {
 	loans := flashloan.Identify(r)
 	if len(loans) == 0 {
 		return nil
 	}
-	list := e.Trades(r)
-	var matches []core.Match
-	seen := make(map[types.Tag]bool)
+	var borrowers []types.TagID
 	for _, loan := range loans {
-		tag := e.tagger.Tag(loan.Borrower)
-		if seen[tag] {
-			continue
+		if id := e.det.Tagger().TagIDOf(loan.Borrower); !slices.Contains(borrowers, id) {
+			borrowers = append(borrowers, id)
 		}
-		seen[tag] = true
-		matches = append(matches, core.MatchPatterns(list, tag, e.th)...)
 	}
-	return matches
+	return e.det.MatchTrades(e.Trades(r), borrowers, nil)
 }

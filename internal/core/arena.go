@@ -145,13 +145,6 @@ func (a *Arena) Rewind() {
 	a.matchSlab.rewind()
 }
 
-// Scratch is the historical name of the per-worker pipeline buffer; the
-// consolidated Arena replaced it and keeps the old name working.
-type Scratch = Arena
-
-// NewScratch returns an empty scratch (alias of NewArena).
-func NewScratch() *Arena { return NewArena() }
-
 // DetailInto renders a report's Detail text into the arena's reused
 // buffer and returns the bytes, valid until the next DetailInto call
 // with the same arena — the zero-allocation form of Report.Detail for

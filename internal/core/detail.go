@@ -8,8 +8,8 @@ import (
 // of the historical fmt-based Detail, but into a caller-owned buffer so
 // steady-state scanning and serving render reports without per-fragment
 // allocations (Arena.DetailInto reuses one buffer across transactions).
-// TestDetailMatchesReference pins byte equality against an fmt
-// re-rendering over a full corpus.
+// TestCorpusDetailGolden pins byte equality against an fmt
+// re-rendering (fmtDetail) over a full corpus.
 
 // AppendString appends the match's report line (String).
 func (m Match) AppendString(dst []byte) []byte {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -140,12 +141,11 @@ func (r *Report) Detail() string {
 // extraction → tagging → simplification → trade identification → pattern
 // matching.
 type Detector struct {
-	extractor *trace.Extractor
-	tagger    *tagging.Tagger
-	interner  *trace.Interner
-	irules    simplify.InternedRules
-	opts      Options
-	clock     func() time.Time
+	tagger   *tagging.Tagger
+	interner *trace.Interner
+	irules   simplify.InternedRules
+	opts     Options
+	clock    func() time.Time
 }
 
 // NewDetector builds a detector over a chain snapshot. The tagger is
@@ -161,17 +161,19 @@ func NewDetector(view tagging.ChainView, tokens trace.TokenResolver, opts Option
 	tagger := tagging.New(view, opts.ExcludedLabelAccounts...)
 	interner := trace.NewInterner(tokens)
 	return &Detector{
-		extractor: trace.NewExtractor(tokens),
-		tagger:    tagger,
-		interner:  interner,
-		irules:    simplify.ResolveRules(opts.Simplify, tagger.IDOfTag, interner.IDOf),
-		opts:      opts,
-		clock:     clock,
+		tagger:   tagger,
+		interner: interner,
+		irules:   simplify.ResolveRules(opts.Simplify, tagger.IDOfTag, interner.IDOf),
+		opts:     opts,
+		clock:    clock,
 	}
 }
 
 // Tagger exposes the precomputed tagger (baselines reuse it).
 func (d *Detector) Tagger() *tagging.Tagger { return d.tagger }
+
+// Interner exposes the token interner whose ids MatchTrades resolves.
+func (d *Detector) Interner() *trace.Interner { return d.interner }
 
 // Inspect runs the full pipeline on one receipt.
 func (d *Detector) Inspect(r *evm.Receipt) *Report {
@@ -188,9 +190,7 @@ func (d *Detector) Inspect(r *evm.Receipt) *Report {
 //
 // The pipeline runs on interned tuples throughout (tag and token
 // identities as integer ids) and resolves ids back to the full structs
-// only here, at report materialization; the interned matchers mirror
-// the reference implementation decision for decision, so reports are
-// byte-identical to the string pipeline's.
+// only here, at report materialization.
 func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 	if s == nil {
 		s = NewArena()
@@ -208,7 +208,7 @@ func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 	rep.Loans = s.loanSlab.save(loans)
 
 	// Step 1: transfer history extraction (§V-A), interned.
-	s.it = d.extractor.ExtractInterned(s.it[:0], d.interner, r)
+	s.it = trace.ExtractInterned(s.it[:0], d.interner, r)
 	s.tmpTransfers = s.tmpTransfers[:0]
 	for i := range s.it {
 		t := &s.it[i]
@@ -253,41 +253,17 @@ func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 	// carry a handful of loans at most, so a linear scan over the
 	// collected tag ids dedups without a per-call map.
 	s.btags = s.btags[:0]
-	s.imatches = s.imatches[:0]
-	s.involvedBuf = s.involvedBuf[:0]
-	th := d.opts.thresholds()
 	for i := range loans {
-		tid := d.tagger.TagIDOf(loans[i].Borrower)
-		if containsTagID(s.btags, tid) {
-			continue
+		if tid := d.tagger.TagIDOf(loans[i].Borrower); !slices.Contains(s.btags, tid) {
+			s.btags = append(s.btags, tid)
 		}
-		s.btags = append(s.btags, tid)
-		matchPatternsInterned(s, s.itrades, tid, th)
 	}
 	s.tmpTags = s.tmpTags[:0]
 	for _, id := range s.btags {
 		s.tmpTags = append(s.tmpTags, d.tagger.ResolveTag(id))
 	}
 	rep.BorrowerTags = s.tagSlab.save(s.tmpTags)
-
-	s.tmpMatches = s.tmpMatches[:0]
-	for i := range s.imatches {
-		m := &s.imatches[i]
-		involved := s.involvedBuf[m.lo:m.hi]
-		s.tmpTrades = s.tmpTrades[:0] // rep.Trades is already slab-saved
-		for j := range involved {
-			s.tmpTrades = append(s.tmpTrades, d.materializeTrade(s, &involved[j]))
-		}
-		s.tmpMatches = append(s.tmpMatches, Match{
-			Kind:          m.kind,
-			Target:        d.interner.Token(m.target),
-			Counterparty:  d.tagger.ResolveTag(m.counterparty),
-			Trades:        s.tradeSlab.save(s.tmpTrades),
-			Rounds:        m.rounds,
-			VolatilityPct: m.volatility,
-		})
-	}
-	rep.Matches = s.matchSlab.save(s.tmpMatches)
+	rep.Matches = d.MatchTrades(s.itrades, s.btags, s)
 
 	rep.IsAttack = len(rep.Matches) > 0
 	if rep.IsAttack && d.opts.YieldAggregatorHeuristic && d.borrowersAreAggregators(rep.BorrowerTags) {
@@ -295,6 +271,43 @@ func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 		rep.SuppressedByHeuristic = true
 	}
 	return rep
+}
+
+// MatchTrades runs the KRP, SBS and MBS matchers of §IV-B over an
+// interned trade list once per borrower tag, with the detector's
+// thresholds, and returns the matches materialized on the arena (nil
+// allocates a fresh one). Tag and token ids must come from the
+// detector's Tagger and Interner; borrowers must be distinct. This is
+// the one matcher: InspectScratch calls it on the trades it identified,
+// and the Explorer baseline on the trades explorers show.
+func (d *Detector) MatchTrades(trades []types.ITrade, borrowers []types.TagID, a *Arena) []Match {
+	if a == nil {
+		a = NewArena()
+	}
+	a.imatches = a.imatches[:0]
+	a.involvedBuf = a.involvedBuf[:0]
+	th := d.opts.thresholds()
+	for _, b := range borrowers {
+		matchPatterns(a, trades, b, th)
+	}
+	a.tmpMatches = a.tmpMatches[:0]
+	for i := range a.imatches {
+		m := &a.imatches[i]
+		involved := a.involvedBuf[m.lo:m.hi]
+		a.tmpTrades = a.tmpTrades[:0]
+		for j := range involved {
+			a.tmpTrades = append(a.tmpTrades, d.materializeTrade(a, &involved[j]))
+		}
+		a.tmpMatches = append(a.tmpMatches, Match{
+			Kind:          m.kind,
+			Target:        d.interner.Token(m.target),
+			Counterparty:  d.tagger.ResolveTag(m.counterparty),
+			Trades:        a.tradeSlab.save(a.tmpTrades),
+			Rounds:        m.rounds,
+			VolatilityPct: m.volatility,
+		})
+	}
+	return a.matchSlab.save(a.tmpMatches)
 }
 
 // materializeTrade resolves an interned trade back to the full Trade
@@ -317,15 +330,6 @@ func (d *Detector) materializeTrade(s *Arena, t *types.ITrade) types.Trade {
 		out.SecondarySell = s.legSlab.saveOne(types.TradeLeg{Amount: t.Secondary.Amount, Token: d.interner.Token(t.Secondary.Token)})
 	}
 	return out
-}
-
-func containsTag(tags []types.Tag, tag types.Tag) bool {
-	for _, t := range tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Detector) borrowersAreAggregators(tags []types.Tag) bool {

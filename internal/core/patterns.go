@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"leishen/internal/types"
 	"leishen/internal/uint256"
@@ -90,9 +91,44 @@ func (m Match) String() string {
 		m.Kind, m.Target.Symbol, m.Counterparty, len(m.Trades), m.VolatilityPct)
 }
 
+// The matchers run on interned trades: tag and token identities are
+// integer ids (id equality is value equality, since the intern tables
+// issue one id per distinct value), and every working buffer lives in
+// the Arena, so matching allocates nothing in steady state. A match
+// stays in id form until Detector.MatchTrades materializes it.
+
+// iMatch is a matched pattern before materialization: ids plus a region
+// [lo:hi) of the arena's involvedBuf holding the involved trades.
+type iMatch struct {
+	kind         PatternKind
+	target       types.TokenID
+	counterparty types.TagID
+	lo, hi       int
+	rounds       int
+	volatility   float64
+}
+
+// mbsState is matchMBS's per-seller round counter, kept in a linear
+// arena slice in first-buy order.
+type mbsState struct {
+	seller  types.TagID
+	pending int // index of the pending buy trade, -1 when none
+	rounds  int
+}
+
+// isBuyOf reports whether the borrower acquires the token in this trade.
+func isBuyOf(t *types.ITrade, borrower types.TagID, target types.TokenID) bool {
+	return t.Buyer == borrower && t.TokenBuy == target
+}
+
+// isSellOf reports whether the borrower disposes of the token.
+func isSellOf(t *types.ITrade, borrower types.TagID, target types.TokenID) bool {
+	return t.Buyer == borrower && t.TokenSell == target
+}
+
 // rateLess reports rate(a) < rate(b) where rate = AmountSell/AmountBuy,
 // compared exactly by cross multiplication.
-func rateLess(a, b types.Trade) bool {
+func rateLess(a, b *types.ITrade) bool {
 	// aS/aB < bS/bB  <=>  aS*bB < bS*aB
 	return uint256.CmpProducts(a.AmountSell, b.AmountBuy, b.AmountSell, a.AmountBuy) < 0
 }
@@ -100,13 +136,13 @@ func rateLess(a, b types.Trade) bool {
 // buyCheaperThanSellOf reports that the buy trade's price is below the
 // sell trade's realized price: buy.AmountSell/buy.AmountBuy <
 // sell.AmountBuy/sell.AmountSell.
-func buyCheaperThanSellOf(buy, sell types.Trade) bool {
+func buyCheaperThanSellOf(buy, sell *types.ITrade) bool {
 	return uint256.CmpProducts(buy.AmountSell, sell.AmountSell, sell.AmountBuy, buy.AmountBuy) < 0
 }
 
 // volatilityAtLeast reports (rate(hi) - rate(lo)) / rate(lo) >= bps/10000,
 // i.e. rate(hi) * 10000 >= rate(lo) * (10000 + bps), exactly.
-func volatilityAtLeast(lo, hi types.Trade, bps uint64) bool {
+func volatilityAtLeast(lo, hi *types.ITrade, bps uint64) bool {
 	// hiS/hiB >= loS/loB * (1 + bps/1e4)
 	// <=> hiS * loB * 1e4 >= loS * hiB * (1e4 + bps)
 	left, err := hi.AmountSell.Mul(uint256.FromUint64(10_000))
@@ -121,108 +157,79 @@ func volatilityAtLeast(lo, hi types.Trade, bps uint64) bool {
 	return uint256.CmpProducts(left, lo.AmountBuy, right, hi.AmountBuy) >= 0
 }
 
-// isBuyOf reports whether the borrower acquires the token in this trade.
-func isBuyOf(t types.Trade, borrower types.Tag, target types.Token) bool {
-	return t.Buyer == borrower && t.TokenBuy.Address == target.Address && t.TokenBuy.IsETH() == target.IsETH()
-}
-
-// isSellOf reports whether the borrower disposes of the token.
-func isSellOf(t types.Trade, borrower types.Tag, target types.Token) bool {
-	return t.Buyer == borrower && t.TokenSell.Address == target.Address && t.TokenSell.IsETH() == target.IsETH()
-}
-
-// candidateTargets lists every token the borrower bought at least once.
-func candidateTargets(trades []types.Trade, borrower types.Tag) []types.Token {
-	seen := make(map[string]bool)
-	var out []types.Token
-	for _, t := range trades {
-		if t.Buyer != borrower {
-			continue
-		}
-		key := t.TokenBuy.Address.String()
-		if t.TokenBuy.IsETH() {
-			key = "ETH"
-		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, t.TokenBuy)
-		}
-	}
-	return out
-}
-
-// MatchPatterns runs all three matchers over a trade list for one flash
-// loan borrower tag.
-func MatchPatterns(trades []types.Trade, borrower types.Tag, th Thresholds) []Match {
+// matchPatterns runs all three matchers for one borrower, appending
+// matches to a.imatches (involved trades go to a.involvedBuf).
+// Candidate targets are the tokens the borrower bought, deduped in
+// first-occurrence order.
+func matchPatterns(a *Arena, trades []types.ITrade, borrower types.TagID, th Thresholds) {
 	if borrower.IsNone() {
-		return nil
+		return
 	}
-	var out []Match
-	for _, target := range candidateTargets(trades, borrower) {
-		if m, ok := matchKRP(trades, borrower, target, th); ok {
-			out = append(out, m)
-		}
-		if m, ok := matchSBS(trades, borrower, target, th); ok {
-			out = append(out, m)
-		}
-		if m, ok := matchMBS(trades, borrower, target, th); ok {
-			out = append(out, m)
+	a.targets = a.targets[:0]
+	for i := range trades {
+		if trades[i].Buyer == borrower && !slices.Contains(a.targets, trades[i].TokenBuy) {
+			a.targets = append(a.targets, trades[i].TokenBuy)
 		}
 	}
-	return out
+	for _, target := range a.targets {
+		if m, ok := matchKRP(a, trades, borrower, target, th); ok {
+			a.imatches = append(a.imatches, m)
+		}
+		if m, ok := matchSBS(a, trades, borrower, target, th); ok {
+			a.imatches = append(a.imatches, m)
+		}
+		if m, ok := matchMBS(a, trades, borrower, target, th); ok {
+			a.imatches = append(a.imatches, m)
+		}
+	}
 }
 
 // matchKRP finds a run of >= KRPMinBuys borrower buys of target from the
 // same seller at monotonically increasing prices, followed by a sell.
-func matchKRP(trades []types.Trade, borrower types.Tag, target types.Token, th Thresholds) (Match, bool) {
-	var run []types.Trade
-	var seller types.Tag
-	for i, t := range trades {
+// The run is kept as trade indices in the arena. A sell that arrives
+// before the run reaches KRPMinBuys leaves the run intact.
+func matchKRP(a *Arena, trades []types.ITrade, borrower types.TagID, target types.TokenID, th Thresholds) (iMatch, bool) {
+	a.run = a.run[:0]
+	var seller types.TagID
+	for i := range trades {
+		t := &trades[i]
 		switch {
 		case isBuyOf(t, borrower, target):
-			if len(run) == 0 {
-				run = []types.Trade{t}
-				seller = t.Seller
+			if len(a.run) > 0 && t.Seller == seller && rateLess(&trades[a.run[len(a.run)-1]], t) {
+				a.run = append(a.run, i)
 				continue
 			}
-			if t.Seller == seller && rateLess(run[len(run)-1], t) {
-				run = append(run, t)
-				continue
-			}
-			// Run broken: restart from this buy.
-			run = []types.Trade{t}
+			// First buy, or the run is broken: restart from this buy.
+			a.run = append(a.run[:0], i)
 			seller = t.Seller
 		case isSellOf(t, borrower, target):
-			if len(run) >= th.KRPMinBuys {
-				involved := append(append([]types.Trade{}, run...), t)
-				return Match{
-					Kind:          PatternKRP,
-					Target:        target,
-					Counterparty:  seller,
-					Trades:        involved,
-					Rounds:        len(run),
-					VolatilityPct: tradeVolatilityPct(involved, target),
-				}, true
+			if len(a.run) >= th.KRPMinBuys {
+				lo := len(a.involvedBuf)
+				for _, j := range a.run {
+					a.involvedBuf = append(a.involvedBuf, trades[j])
+				}
+				a.involvedBuf = append(a.involvedBuf, *t)
+				return a.involved(PatternKRP, target, seller, lo, len(a.run)), true
 			}
-			_ = i
 		}
 	}
-	return Match{}, false
+	return iMatch{}, false
 }
 
 // matchSBS finds buy trade1, pump trade2 (any buyer), and sell trade3 with
 // trade1.amountBuy == trade3.amountSell, the rate sandwich, and a pump of
 // at least SBSMinVolatilityBps between trade1 and trade2.
-func matchSBS(trades []types.Trade, borrower types.Tag, target types.Token, th Thresholds) (Match, bool) {
-	for i, t1 := range trades {
+func matchSBS(a *Arena, trades []types.ITrade, borrower types.TagID, target types.TokenID, th Thresholds) (iMatch, bool) {
+	for i := range trades {
+		t1 := &trades[i]
 		if !isBuyOf(t1, borrower, target) {
 			continue
 		}
 		for j := i + 1; j < len(trades); j++ {
-			t2 := trades[j]
+			t2 := &trades[j]
 			// The pump buy may be executed by anyone — in bZx-1 it is the
 			// victim platform itself, financed by the attacker's margin.
-			if !(t2.TokenBuy.Address == target.Address && t2.TokenBuy.IsETH() == target.IsETH()) {
+			if t2.TokenBuy != target {
 				continue
 			}
 			if t2.Buyer == t1.Seller && t2.Seller == t1.Buyer {
@@ -232,7 +239,7 @@ func matchSBS(trades []types.Trade, borrower types.Tag, target types.Token, th T
 				continue
 			}
 			for k := j + 1; k < len(trades); k++ {
-				t3 := trades[k]
+				t3 := &trades[k]
 				if !isSellOf(t3, borrower, target) {
 					continue
 				}
@@ -248,69 +255,92 @@ func matchSBS(trades []types.Trade, borrower types.Tag, target types.Token, th T
 				if uint256.CmpProducts(t3.AmountBuy, t2.AmountBuy, t2.AmountSell, t3.AmountSell) >= 0 {
 					continue
 				}
-				involved := []types.Trade{t1, t2, t3}
-				return Match{
-					Kind:          PatternSBS,
-					Target:        target,
-					Counterparty:  t1.Seller,
-					Trades:        involved,
-					Rounds:        1,
-					VolatilityPct: tradeVolatilityPct(involved, target),
-				}, true
+				lo := len(a.involvedBuf)
+				a.involvedBuf = append(a.involvedBuf, *t1, *t2, *t3)
+				return a.involved(PatternSBS, target, t1.Seller, lo, 1), true
 			}
 		}
 	}
-	return Match{}, false
+	return iMatch{}, false
 }
 
-// matchMBS counts profitable buy/sell rounds against a single seller.
-func matchMBS(trades []types.Trade, borrower types.Tag, target types.Token, th Thresholds) (Match, bool) {
-	type state struct {
-		pending  *types.Trade
-		rounds   int
-		involved []types.Trade
+// matchMBS counts profitable buy/sell rounds against a single seller in
+// two passes: the first counts rounds per seller (sellers tracked in
+// first-buy order), the second replays only the winning seller to
+// collect its involved trades. The winner is the first seller in
+// first-buy order whose rounds reach the threshold.
+func matchMBS(a *Arena, trades []types.ITrade, borrower types.TagID, target types.TokenID, th Thresholds) (iMatch, bool) {
+	a.mbs = a.mbs[:0]
+	find := func(seller types.TagID) *mbsState {
+		for i := range a.mbs {
+			if a.mbs[i].seller == seller {
+				return &a.mbs[i]
+			}
+		}
+		return nil
 	}
-	states := make(map[types.Tag]*state)
-	var sellerOrder []types.Tag
 	for i := range trades {
-		t := trades[i]
+		t := &trades[i]
 		switch {
 		case isBuyOf(t, borrower, target):
-			s := states[t.Seller]
+			s := find(t.Seller)
 			if s == nil {
-				s = &state{}
-				states[t.Seller] = s
-				sellerOrder = append(sellerOrder, t.Seller)
+				a.mbs = append(a.mbs, mbsState{seller: t.Seller, pending: -1})
+				s = &a.mbs[len(a.mbs)-1]
 			}
-			tt := t
-			s.pending = &tt
+			s.pending = i
 		case isSellOf(t, borrower, target):
-			s := states[t.Seller]
-			if s == nil || s.pending == nil {
+			s := find(t.Seller)
+			if s == nil || s.pending < 0 {
 				continue
 			}
 			// Condition b: the round is profitable.
-			if buyCheaperThanSellOf(*s.pending, t) {
+			if buyCheaperThanSellOf(&trades[s.pending], t) {
 				s.rounds++
-				s.involved = append(s.involved, *s.pending, t)
 			}
-			s.pending = nil
+			s.pending = -1
 		}
 	}
-	for _, seller := range sellerOrder {
-		s := states[seller]
-		if s.rounds >= th.MBSMinRounds {
-			return Match{
-				Kind:          PatternMBS,
-				Target:        target,
-				Counterparty:  seller,
-				Trades:        s.involved,
-				Rounds:        s.rounds,
-				VolatilityPct: tradeVolatilityPct(s.involved, target),
-			}, true
+	for si := range a.mbs {
+		if a.mbs[si].rounds < th.MBSMinRounds {
+			continue
 		}
+		winner := a.mbs[si].seller
+		lo := len(a.involvedBuf)
+		pending := -1
+		for i := range trades {
+			t := &trades[i]
+			switch {
+			case isBuyOf(t, borrower, target) && t.Seller == winner:
+				pending = i
+			case isSellOf(t, borrower, target) && t.Seller == winner:
+				if pending < 0 {
+					continue
+				}
+				if buyCheaperThanSellOf(&trades[pending], t) {
+					a.involvedBuf = append(a.involvedBuf, trades[pending], *t)
+				}
+				pending = -1
+			}
+		}
+		return a.involved(PatternMBS, target, winner, lo, a.mbs[si].rounds), true
 	}
-	return Match{}, false
+	return iMatch{}, false
+}
+
+// involved closes a match whose trades were appended to involvedBuf
+// from lo on, measuring their volatility.
+func (a *Arena) involved(kind PatternKind, target types.TokenID, counterparty types.TagID, lo, rounds int) iMatch {
+	hi := len(a.involvedBuf)
+	return iMatch{
+		kind:         kind,
+		target:       target,
+		counterparty: counterparty,
+		lo:           lo,
+		hi:           hi,
+		rounds:       rounds,
+		volatility:   tradeVolatilityPct(a.involvedBuf[lo:hi], target),
+	}
 }
 
 // withinBps reports |x-y| <= max(x,y)*bps/1e4.
@@ -326,15 +356,16 @@ func withinBps(x, y uint256.Int, bps uint64) bool {
 // tradeVolatilityPct computes the paper's price volatility formula
 // ((rate_max - rate_min)/rate_min * 100%) over the target token's price in
 // each involved trade.
-func tradeVolatilityPct(trades []types.Trade, target types.Token) float64 {
+func tradeVolatilityPct(trades []types.ITrade, target types.TokenID) float64 {
 	minR, maxR := 0.0, 0.0
 	first := true
-	for _, t := range trades {
+	for i := range trades {
+		t := &trades[i]
 		var r float64
 		switch {
-		case t.TokenBuy.Address == target.Address && t.TokenBuy.IsETH() == target.IsETH():
+		case t.TokenBuy == target:
 			r = t.Rate() // paid per unit of target
-		case t.TokenSell.Address == target.Address && t.TokenSell.IsETH() == target.IsETH():
+		case t.TokenSell == target:
 			r = t.InverseRate() // received per unit of target
 		default:
 			continue

@@ -10,8 +10,8 @@ import (
 )
 
 // krpTrades is a canonical KRP-positive trade list (from the unit tests).
-func krpTrades() []types.Trade {
-	return []types.Trade{
+func krpTrades() []types.ITrade {
+	return []types.ITrade{
 		buy(victim, 20, 5200), buy(victim, 20, 4600), buy(victim, 20, 4000),
 		buy(victim, 20, 3400), buy(victim, 20, 2800), buy(victim, 20, 2300),
 		sell(victim2, 20000, 124),
@@ -19,8 +19,8 @@ func krpTrades() []types.Trade {
 }
 
 // mbsTrades is a canonical MBS-positive trade list.
-func mbsTrades() []types.Trade {
-	return []types.Trade{
+func mbsTrades() []types.ITrade {
+	return []types.ITrade{
 		buy(victim, 1000, 1030), sell(victim, 1030, 1010),
 		buy(victim, 1000, 1030), sell(victim, 1030, 1010),
 		buy(victim, 1000, 1030), sell(victim, 1030, 1010),
@@ -29,18 +29,17 @@ func mbsTrades() []types.Trade {
 
 // noiseTrade builds a trade on an unrelated token pair by an unrelated
 // party — the benign traffic surrounding an attack inside a transaction.
-func noiseTrade(rng *rand.Rand) types.Trade {
-	other := types.AppTag("Noise")
-	tokA := types.Token{Address: types.Address{0xA0, byte(rng.Intn(200))}, Symbol: "NA", Decimals: 18}
-	tokB := types.Token{Address: types.Address{0xA1, byte(rng.Intn(200) + 1)}, Symbol: "NB", Decimals: 18}
-	return types.Trade{
+func noiseTrade(rng *rand.Rand) types.ITrade {
+	tokA := types.Token{Address: types.Address{0xA0, byte(rng.Intn(200))}}
+	tokB := types.Token{Address: types.Address{0xA1, byte(rng.Intn(200) + 1)}}
+	return types.ITrade{
 		Kind:       types.TradeSwap,
-		Buyer:      types.RootTag(types.Address{byte(rng.Intn(200) + 2)}),
-		Seller:     other,
+		Buyer:      patternDet.tagger.TagIDOf(types.Address{0xB0, byte(rng.Intn(200) + 2)}),
+		Seller:     tid(types.AppTag("Noise")),
 		AmountSell: uint256.FromUint64(rng.Uint64()%10000 + 1),
-		TokenSell:  tokA,
+		TokenSell:  tok(tokA),
 		AmountBuy:  uint256.FromUint64(rng.Uint64()%10000 + 1),
-		TokenBuy:   tokB,
+		TokenBuy:   tok(tokB),
 	}
 }
 
@@ -49,20 +48,20 @@ func noiseTrade(rng *rand.Rand) types.Trade {
 // transactions — real attacks interleave with routing and fee transfers).
 func TestPropertyNoiseInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cases := map[PatternKind][]types.Trade{
+	cases := map[PatternKind][]types.ITrade{
 		PatternKRP: krpTrades(),
 		PatternMBS: mbsTrades(),
 	}
 	for kind, base := range cases {
 		for trial := 0; trial < 100; trial++ {
-			noisy := make([]types.Trade, 0, len(base)+4)
+			noisy := make([]types.ITrade, 0, len(base)+4)
 			for _, tr := range base {
 				for rng.Intn(3) == 0 {
 					noisy = append(noisy, noiseTrade(rng))
 				}
 				noisy = append(noisy, tr)
 			}
-			ms := MatchPatterns(noisy, borrower, DefaultThresholds())
+			ms := match(noisy, borrower, DefaultThresholds())
 			if !kinds(ms)[kind] {
 				t.Fatalf("%s lost under noise (trial %d): %v", kind, trial, noisy)
 			}
@@ -73,8 +72,8 @@ func TestPropertyNoiseInvariance(t *testing.T) {
 // TestPropertyScaleInvariance: multiplying all amounts by a constant
 // preserves every match — the matchers are pure rate conditions.
 func TestPropertyScaleInvariance(t *testing.T) {
-	scale := func(list []types.Trade, k uint64) []types.Trade {
-		out := make([]types.Trade, len(list))
+	scale := func(list []types.ITrade, k uint64) []types.ITrade {
+		out := make([]types.ITrade, len(list))
 		for i, tr := range list {
 			tr.AmountSell = tr.AmountSell.MustMul(uint256.FromUint64(k))
 			tr.AmountBuy = tr.AmountBuy.MustMul(uint256.FromUint64(k))
@@ -83,11 +82,11 @@ func TestPropertyScaleInvariance(t *testing.T) {
 		return out
 	}
 	for _, k := range []uint64{2, 1000, 1_000_000_000_000} {
-		for name, base := range map[PatternKind][]types.Trade{
+		for name, base := range map[PatternKind][]types.ITrade{
 			PatternKRP: krpTrades(),
 			PatternMBS: mbsTrades(),
 		} {
-			ms := MatchPatterns(scale(base, k), borrower, DefaultThresholds())
+			ms := match(scale(base, k), borrower, DefaultThresholds())
 			if !kinds(ms)[name] {
 				t.Errorf("%s lost at scale %d", name, k)
 			}
@@ -101,14 +100,14 @@ func TestPropertyScaleInvariance(t *testing.T) {
 func TestPropertyPrefixSafety(t *testing.T) {
 	krp := krpTrades()
 	for cut := 0; cut < len(krp); cut++ {
-		ms := MatchPatterns(krp[:cut], borrower, DefaultThresholds())
+		ms := match(krp[:cut], borrower, DefaultThresholds())
 		if len(ms) != 0 {
 			t.Errorf("KRP prefix of %d trades matched: %v", cut, ms)
 		}
 	}
 	mbs := mbsTrades()
 	for cut := 0; cut < 5; cut++ { // below 3 complete rounds
-		ms := MatchPatterns(mbs[:cut], borrower, DefaultThresholds())
+		ms := match(mbs[:cut], borrower, DefaultThresholds())
 		if len(ms) != 0 {
 			t.Errorf("MBS prefix of %d trades matched: %v", cut, ms)
 		}
@@ -116,16 +115,16 @@ func TestPropertyPrefixSafety(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
+	ms := match(krpTrades(), borrower, DefaultThresholds())
+	if len(ms) != 1 {
+		t.Fatalf("matches = %v", ms)
+	}
 	rep := &Report{
 		TxHash:   types.HashFromData([]byte("x")),
 		Block:    7,
 		IsAttack: true,
-		Trades:   krpTrades(),
-		Matches: []Match{{
-			Kind: PatternKRP, Target: susdT, Counterparty: victim,
-			Rounds: 6, VolatilityPct: 120,
-			Trades: krpTrades(),
-		}},
+		Trades:   ms[0].Trades,
+		Matches:  ms,
 	}
 	raw, err := json.Marshal(rep)
 	if err != nil {

@@ -9,22 +9,13 @@ import (
 	"time"
 
 	"leishen/internal/core"
-	"leishen/internal/evm"
-	"leishen/internal/flashloan"
 	"leishen/internal/simplify"
-	"leishen/internal/tagging"
-	"leishen/internal/trace"
-	"leishen/internal/trades"
 	"leishen/internal/types"
 	"leishen/internal/world"
 )
 
-// The interned arena pipeline (InspectScratch) must be a perfect
-// stand-in for the historical string pipeline: same structs, same JSON
-// bytes, same Detail bytes, for every transaction. This file keeps the
-// string pipeline alive as an executable reference — built from the
-// same exported stages the old InspectScratch composed — and pins the
-// two against each other over a generated corpus.
+// Corpus fixtures and the fmt-based Detail renderer that the
+// append-form AppendDetail is pinned against.
 
 var (
 	refCorpusOnce sync.Once
@@ -41,48 +32,6 @@ func referenceCorpus(tb testing.TB) *world.Corpus {
 		tb.Fatalf("corpus: %v", refCorpusErr)
 	}
 	return refCorpus
-}
-
-// referencePipeline is the pre-arena string pipeline, stage by stage:
-// identify → extract → tag → simplify → identify trades → match. It
-// intentionally allocates freely; it exists to define correct output.
-type referencePipeline struct {
-	extractor *trace.Extractor
-	tagger    *tagging.Tagger
-	simplify  simplify.Options
-	clock     func() time.Time
-}
-
-func (p *referencePipeline) inspect(r *evm.Receipt) *core.Report {
-	start := p.clock()
-	rep := &core.Report{TxHash: r.TxHash, Time: r.Time, Block: r.Block}
-	defer func() { rep.Elapsed = p.clock().Sub(start) }()
-
-	rep.Loans = flashloan.Identify(r)
-	if len(rep.Loans) == 0 {
-		return rep
-	}
-	rep.Transfers = p.extractor.ExtractInto(nil, r)
-	tagged := p.tagger.TagTransfersInto(nil, rep.Transfers)
-	rep.AppTransfers = simplify.Simplify(tagged, p.simplify)
-	rep.Trades = trades.IdentifyAppend(nil, rep.AppTransfers)
-	for _, loan := range rep.Loans {
-		tag := p.tagger.Tag(loan.Borrower)
-		seen := false
-		for _, t := range rep.BorrowerTags {
-			if t == tag {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
-		rep.BorrowerTags = append(rep.BorrowerTags, tag)
-		rep.Matches = append(rep.Matches, core.MatchPatterns(rep.Trades, tag, core.DefaultThresholds())...)
-	}
-	rep.IsAttack = len(rep.Matches) > 0
-	return rep
 }
 
 // fmtDetail is the historical fmt-based Detail rendering, preserved
@@ -118,51 +67,6 @@ func mustJSON(tb testing.TB, rep *core.Report) string {
 		tb.Fatal(err)
 	}
 	return string(out)
-}
-
-// TestInternedPipelineMatchesReference pins the arena pipeline's output
-// — JSON wire bytes and Detail text — against the string reference for
-// every corpus transaction, with one reused arena so slab reuse and
-// buffer recycling are exercised the way a scanning worker would.
-func TestInternedPipelineMatchesReference(t *testing.T) {
-	c := referenceCorpus(t)
-	tick := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return tick }
-	sopts := simplify.Options{WETH: c.Env.WETH}
-
-	det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{Simplify: sopts, Clock: clock})
-	ref := &referencePipeline{
-		extractor: trace.NewExtractor(c.Env.Registry),
-		tagger:    det.Tagger(),
-		simplify:  sopts,
-		clock:     clock,
-	}
-
-	arena := core.NewArena()
-	attacks, flashLoans := 0, 0
-	for i, r := range c.Receipts {
-		want := ref.inspect(r)
-		got := det.InspectScratch(r, arena)
-		wantDetail := fmtDetail(want)
-		if gj, wj := mustJSON(t, got), mustJSON(t, want); gj != wj {
-			t.Fatalf("receipt %d (%s): JSON diverges\n got: %s\nwant: %s", i, r.TxHash.Short(), gj, wj)
-		}
-		if gd := got.Detail(); gd != wantDetail {
-			t.Fatalf("receipt %d (%s): Detail diverges\n got:\n%s\nwant:\n%s", i, r.TxHash.Short(), gd, wantDetail)
-		}
-		if ad := string(arena.DetailInto(got)); ad != wantDetail {
-			t.Fatalf("receipt %d (%s): DetailInto diverges from fmt reference", i, r.TxHash.Short())
-		}
-		if got.IsAttack {
-			attacks++
-		}
-		if len(got.Loans) > 0 {
-			flashLoans++
-		}
-	}
-	if attacks == 0 || flashLoans == 0 {
-		t.Fatalf("vacuous corpus: attacks=%d flashLoans=%d", attacks, flashLoans)
-	}
 }
 
 // TestArenaReportsSurviveReuse checks the slab ownership guarantee:

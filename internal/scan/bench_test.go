@@ -54,7 +54,7 @@ func BenchmarkScanThroughput(b *testing.B) {
 func BenchmarkScanAllocs(b *testing.B) {
 	c := testCorpus(b)
 	det := benchDetector(c)
-	scratch := core.NewScratch()
+	scratch := core.NewArena()
 	// Warm the scratch to steady-state capacity.
 	for _, r := range c.Receipts {
 		det.InspectScratch(r, scratch)

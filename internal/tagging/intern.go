@@ -16,8 +16,7 @@ import (
 // Id equality is Tag equality — the table never issues two ids for one
 // value — which is what lets the simplify/trades/match layers compare
 // interned ids instead of hashing tag strings. ResolveTag returns the
-// exact Tag value the string pipeline would have carried, so reports
-// materialized from ids are byte-identical.
+// Tag value behind an id, so reports materialize with full tags.
 
 // intern is the Tagger's id table.
 type intern struct {
@@ -66,9 +65,10 @@ func (t *Tagger) buildIntern(accounts []types.Address) {
 	t.intern.nextID = types.TagID(len(t.intern.byID))
 }
 
-// TagIDOf returns the interned id of an account's tag, mirroring Tag:
-// snapshot accounts resolve from the precomputed table, the BlackHole
-// address resolves to its root tag's id, and unknown addresses are
+// TagIDOf returns the interned id of an account's tag: snapshot
+// accounts resolve from the precomputed table, the BlackHole address
+// resolves to its root tag's id, and accounts outside the snapshot
+// (bare EOAs that only ever received assets) are their own roots,
 // issued a root-tag id on first sight.
 func (t *Tagger) TagIDOf(addr types.Address) types.TagID {
 	if addr.IsZero() {
@@ -84,9 +84,9 @@ func (t *Tagger) TagIDOf(addr types.Address) types.TagID {
 }
 
 // internExtra issues an id for an out-of-snapshot address. Out-of-
-// snapshot accounts are their own roots (see Tag), and distinct
-// addresses yield distinct root tags, so deduping by address preserves
-// the one-id-per-value invariant.
+// snapshot accounts are their own roots, and distinct addresses yield
+// distinct root tags, so deduping by address preserves the
+// one-id-per-value invariant.
 func (t *Tagger) internExtra(addr types.Address) types.TagID {
 	t.intern.mu.Lock()
 	defer t.intern.mu.Unlock()
@@ -122,9 +122,9 @@ func (t *Tagger) IDOfTag(tag types.Tag) (types.TagID, bool) {
 	return id, ok
 }
 
-// TagTransferIDs fills the interned tag fields of transfers in place —
-// the interned counterpart of TagTransfersInto, operating on the
-// extraction buffer directly instead of copying into a second slice.
+// TagTransferIDs fills the interned tag fields of transfers in place,
+// producing the tagT tuples of §V-B1 on the extraction buffer itself
+// instead of copying into a second slice.
 func (t *Tagger) TagTransferIDs(transfers []types.ITransfer) {
 	for i := range transfers {
 		transfers[i].SenderTag = t.TagIDOf(transfers[i].Sender)

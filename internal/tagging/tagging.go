@@ -14,10 +14,8 @@
 package tagging
 
 import (
-	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"leishen/internal/evm"
 	"leishen/internal/types"
@@ -34,21 +32,16 @@ type ChainView interface {
 
 // Tagger precomputes tags for every account known to a chain snapshot.
 // A Tagger is safe for concurrent use: the precomputed maps are read-only
-// after New, and the out-of-snapshot memo is a sync.Map.
+// after New, and out-of-snapshot ids are issued under a mutex (see
+// intern.go).
 type Tagger struct {
 	tags  map[types.Address]types.Tag
 	roots map[types.Address]types.Address
-	// extra memoizes root tags for addresses outside the snapshot (bare
-	// EOAs that only ever received assets). Deriving a root tag
-	// hex-encodes the address into a fresh string; memoizing keeps the
-	// steady-state Tag lookup allocation-free.
-	extra sync.Map // types.Address -> types.Tag
 	// intern is the tag id table (see intern.go).
 	intern intern
 }
 
-// zeroRootTag is the tag of the zero (BlackHole) address, precomputed so
-// Tag never re-derives it.
+// zeroRootTag is the tag of the zero (BlackHole) address.
 var zeroRootTag = types.RootTag(types.ZeroAddress)
 
 // AppOfLabel extracts the application name from an Etherscan-style label:
@@ -182,55 +175,12 @@ func sortedApps(set map[string]bool) []string {
 	return out
 }
 
-// Tag returns the tag of an account. Accounts outside the snapshot (bare
-// EOAs that only ever received assets) are their own roots; their derived
-// root tags are memoized so repeated lookups do not re-encode the address.
-func (t *Tagger) Tag(addr types.Address) types.Tag {
-	if addr.IsZero() {
-		return zeroRootTag
-	}
-	if tag, ok := t.tags[addr]; ok {
-		return tag
-	}
-	if tag, ok := t.extra.Load(addr); ok {
-		return tag.(types.Tag)
-	}
-	tag := types.RootTag(addr)
-	t.extra.Store(addr, tag)
-	return tag
-}
-
 // Root returns the creation-tree root of an account.
 func (t *Tagger) Root(addr types.Address) types.Address {
 	if r, ok := t.roots[addr]; ok {
 		return r
 	}
 	return addr
-}
-
-// TagTransfers annotates account-level transfers with tags, producing the
-// tagT tuples of §V-B1.
-func (t *Tagger) TagTransfers(transfers []types.Transfer) []types.TaggedTransfer {
-	return t.TagTransfersInto(make([]types.TaggedTransfer, 0, len(transfers)), transfers)
-}
-
-// TagTransfersInto appends the tagged transfers to dst and returns the
-// grown slice — the reuse-a-scratch-buffer form of TagTransfers for
-// allocation-light scanning (pass dst[:0] to recycle a buffer).
-func (t *Tagger) TagTransfersInto(dst []types.TaggedTransfer, transfers []types.Transfer) []types.TaggedTransfer {
-	dst = slices.Grow(dst, len(transfers))
-	for _, tr := range transfers {
-		dst = append(dst, types.TaggedTransfer{
-			Seq:         tr.Seq,
-			Sender:      tr.Sender,
-			Receiver:    tr.Receiver,
-			SenderTag:   t.Tag(tr.Sender),
-			ReceiverTag: t.Tag(tr.Receiver),
-			Amount:      tr.Amount,
-			Token:       tr.Token,
-		})
-	}
-	return dst
 }
 
 // Stats summarizes a tagger's forest, mirroring the paper's study of

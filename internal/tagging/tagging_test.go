@@ -35,6 +35,9 @@ func (spawner) Call(env *evm.Env, method string, args []any) ([]any, error) {
 	}
 }
 
+// tagOf resolves an account's tag through the tagger's id table.
+func tagOf(tg *Tagger, a types.Address) types.Tag { return tg.ResolveTag(tg.TagIDOf(a)) }
+
 func spawn(t *testing.T, ch *evm.Chain, from, factory types.Address) types.Address {
 	t.Helper()
 	r := ch.Send(from, factory, "spawn")
@@ -68,12 +71,12 @@ func TestSingleTagPropagatesWholeTree(t *testing.T) {
 
 	tg := New(ch)
 	for _, a := range []types.Address{factory, pool1, pool2, grandchild} {
-		if got := tg.Tag(a); got != types.AppTag("Uniswap") {
+		if got := tagOf(tg, a); got != types.AppTag("Uniswap") {
 			t.Errorf("Tag(%s) = %s, want Uniswap", a.Short(), got)
 		}
 	}
 	// The unlabeled EOA root inherits the descendant label too.
-	if got := tg.Tag(deployer); got != types.AppTag("Uniswap") {
+	if got := tagOf(tg, deployer); got != types.AppTag("Uniswap") {
 		t.Errorf("Tag(deployer) = %s", got)
 	}
 }
@@ -88,7 +91,7 @@ func TestUnlabeledTreeTagsWithRoot(t *testing.T) {
 	tg := New(ch)
 	want := types.RootTag(attacker)
 	for _, a := range []types.Address{attacker, contract, child} {
-		if got := tg.Tag(a); got != want {
+		if got := tagOf(tg, a); got != want {
 			t.Errorf("Tag(%s) = %s, want %s", a.Short(), got, want)
 		}
 	}
@@ -96,7 +99,7 @@ func TestUnlabeledTreeTagsWithRoot(t *testing.T) {
 	other := ch.NewEOA("")
 	otherContract := ch.MustDeploy(other, spawner{}, "")
 	tg = New(ch)
-	if tg.Tag(otherContract) == want {
+	if tagOf(tg, otherContract) == want {
 		t.Error("distinct trees share a root tag")
 	}
 }
@@ -115,14 +118,14 @@ func TestConflictingTagsLeaveNodesUntagged(t *testing.T) {
 	pool := r.Return[0].(types.Address)
 
 	tg := New(ch)
-	if got := tg.Tag(mid); !got.IsNone() {
+	if got := tagOf(tg, mid); !got.IsNone() {
 		t.Errorf("Tag(mid) = %s, want untagged", got)
 	}
 	// Directly labeled nodes retain their labels.
-	if got := tg.Tag(deployer); got != types.AppTag("Yearn") {
+	if got := tagOf(tg, deployer); got != types.AppTag("Yearn") {
 		t.Errorf("Tag(deployer) = %s", got)
 	}
-	if got := tg.Tag(pool); got != types.AppTag("Uniswap") {
+	if got := tagOf(tg, pool); got != types.AppTag("Uniswap") {
 		t.Errorf("Tag(pool) = %s", got)
 	}
 }
@@ -133,13 +136,13 @@ func TestExcludedLabelsIgnored(t *testing.T) {
 	contract := ch.MustDeploy(attacker, spawner{}, "Fake Phishing: Exploiter")
 
 	tg := New(ch)
-	if got := tg.Tag(contract); got != types.AppTag("Fake Phishing") {
+	if got := tagOf(tg, contract); got != types.AppTag("Fake Phishing") {
 		t.Fatalf("precondition: label should apply, got %s", got)
 	}
 	// The paper removes attacker labels before detection: the tree then
 	// falls back to root tagging.
 	tg = New(ch, contract)
-	if got := tg.Tag(contract); got != types.RootTag(attacker) {
+	if got := tagOf(tg, contract); got != types.RootTag(attacker) {
 		t.Errorf("Tag with exclusion = %s, want root tag", got)
 	}
 }
@@ -148,10 +151,10 @@ func TestUnknownAddressIsOwnRoot(t *testing.T) {
 	ch := evm.NewChain(time.Unix(0, 0))
 	tg := New(ch)
 	stranger := types.Address{0xAB, 0xCD}
-	if got := tg.Tag(stranger); got != types.RootTag(stranger) {
+	if got := tagOf(tg, stranger); got != types.RootTag(stranger) {
 		t.Errorf("Tag(stranger) = %s", got)
 	}
-	if got := tg.Tag(types.ZeroAddress); got != types.RootTag(types.ZeroAddress) {
+	if got := tagOf(tg, types.ZeroAddress); got != types.RootTag(types.ZeroAddress) {
 		t.Errorf("Tag(zero) = %s", got)
 	}
 	if got := tg.Root(stranger); got != stranger {
@@ -166,19 +169,18 @@ func TestTagTransfers(t *testing.T) {
 	user := ch.NewEOA("")
 	tg := New(ch)
 
-	tok := types.Token{Address: types.Address{9}, Symbol: "TKN", Decimals: 18}
-	in := []types.Transfer{
-		{Seq: 3, Sender: user, Receiver: uni, Amount: uint256.FromUint64(7), Token: tok},
+	in := []types.ITransfer{
+		{Seq: 3, Sender: user, Receiver: uni, Amount: uint256.FromUint64(7), Token: 1},
 	}
-	out := tg.TagTransfers(in)
-	if len(out) != 1 {
-		t.Fatalf("len = %d", len(out))
+	tg.TagTransferIDs(in)
+	tt := in[0]
+	if got := tg.ResolveTag(tt.SenderTag); got != types.RootTag(user) {
+		t.Errorf("sender tag = %s", got)
 	}
-	tt := out[0]
-	if tt.SenderTag != types.RootTag(user) || tt.ReceiverTag != types.AppTag("Uniswap") {
-		t.Errorf("tags = %s, %s", tt.SenderTag, tt.ReceiverTag)
+	if got := tg.ResolveTag(tt.ReceiverTag); got != types.AppTag("Uniswap") {
+		t.Errorf("receiver tag = %s", got)
 	}
-	if tt.Seq != 3 || tt.Amount.Uint64() != 7 {
+	if tt.Seq != 3 || tt.Sender != user || tt.Receiver != uni || tt.Amount.Uint64() != 7 || tt.Token != 1 {
 		t.Errorf("payload lost: %+v", tt)
 	}
 }
@@ -191,7 +193,7 @@ func TestAncestorLabelReachesLeaves(t *testing.T) {
 	factory := ch.MustDeploy(deployer, spawner{}, "")
 	leaf := spawn(t, ch, deployer, factory)
 	tg := New(ch)
-	if got := tg.Tag(leaf); got != types.AppTag("Balancer") {
+	if got := tagOf(tg, leaf); got != types.AppTag("Balancer") {
 		t.Errorf("Tag(leaf) = %s", got)
 	}
 }

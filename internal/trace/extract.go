@@ -9,7 +9,6 @@
 package trace
 
 import (
-	"fmt"
 	"slices"
 
 	"leishen/internal/evm"
@@ -22,87 +21,76 @@ type TokenResolver interface {
 	Resolve(addr types.Address) (types.Token, bool)
 }
 
-// Extractor converts receipts into account-level transfer lists.
-type Extractor struct {
-	// Tokens resolves ERC20 metadata for Transfer logs.
-	Tokens TokenResolver
-}
-
-// NewExtractor builds an extractor over a token resolver.
-func NewExtractor(tokens TokenResolver) *Extractor {
-	return &Extractor{Tokens: tokens}
-}
-
-// Extract returns the transaction's asset transfers in happened-before
-// order: T_i = (sender, receiver, amount, token). Failed transactions have
-// no committed transfers.
-func (e *Extractor) Extract(r *evm.Receipt) []types.Transfer {
-	if r == nil || !r.Success {
-		return nil
-	}
-	return e.ExtractInto(make([]types.Transfer, 0, len(r.Logs)+len(r.InternalTxs)), r)
-}
-
-// ExtractInto appends the transaction's transfers to dst in
-// happened-before order and returns the grown slice — the
-// reuse-a-scratch-buffer form of Extract (pass dst[:0] to recycle a
-// buffer). Only the appended tail is sorted; existing dst entries are
-// left untouched.
-func (e *Extractor) ExtractInto(dst []types.Transfer, r *evm.Receipt) []types.Transfer {
+// ExtractInterned appends the transaction's asset transfers to dst in
+// happened-before order, T_i = (sender, receiver, amount, token), with
+// token identities interned by in, and returns the grown slice (pass dst[:0]
+// to recycle a buffer). Failed transactions have no committed
+// transfers. The substrate records internal transactions and logs
+// each in ascending sequence order, so the two streams merge with two
+// pointers instead of a sort; a defensive sortedness check falls back
+// to the sort if a receipt ever violates that (the sequence counter is
+// unique per transaction, so any comparison sort yields one order).
+func ExtractInterned(dst []types.ITransfer, in *Interner, r *evm.Receipt) []types.ITransfer {
 	if r == nil || !r.Success {
 		return dst
 	}
 	start := len(dst)
-	transfers := slices.Grow(dst, len(r.Logs)+len(r.InternalTxs))
+	out := slices.Grow(dst, len(r.Logs)+len(r.InternalTxs))
+	its, lgs := r.InternalTxs, r.Logs
+	i, j := 0, 0
+	for {
+		// Skip entries that do not move assets: zero-value internal
+		// transactions and non-Transfer logs.
+		for i < len(its) && its[i].Value.IsZero() {
+			i++
+		}
+		for j < len(lgs) && !isERC20Transfer(&lgs[j]) {
+			j++
+		}
+		if i >= len(its) && j >= len(lgs) {
+			break
+		}
+		if j >= len(lgs) || (i < len(its) && its[i].Seq < lgs[j].Seq) {
+			it := &its[i]
+			out = append(out, types.ITransfer{
+				Seq:      it.Seq,
+				Sender:   it.From,
+				Receiver: it.To,
+				Amount:   it.Value,
+				Token:    types.ETHTokenID,
+			})
+			i++
+		} else {
+			lg := &lgs[j]
+			out = append(out, types.ITransfer{
+				Seq:      lg.Seq,
+				Sender:   lg.Addrs[0],
+				Receiver: lg.Addrs[1],
+				Amount:   lg.Amounts[0],
+				Token:    in.IDOf(lg.Address),
+			})
+			j++
+		}
+	}
+	tail := out[start:]
+	for k := 1; k < len(tail); k++ {
+		if tail[k].Seq < tail[k-1].Seq {
+			slices.SortFunc(tail, func(a, b types.ITransfer) int {
+				switch {
+				case a.Seq < b.Seq:
+					return -1
+				case a.Seq > b.Seq:
+					return 1
+				default:
+					return 0
+				}
+			})
+			break
+		}
+	}
+	return out
+}
 
-	// Ether transfers from internal transactions.
-	for _, it := range r.InternalTxs {
-		if it.Value.IsZero() {
-			continue
-		}
-		transfers = append(transfers, types.Transfer{
-			Seq:      it.Seq,
-			Sender:   it.From,
-			Receiver: it.To,
-			Amount:   it.Value,
-			Token:    types.ETH,
-		})
-	}
-	// ERC20 transfers from event logs.
-	for _, lg := range r.Logs {
-		if lg.Event != "Transfer" || len(lg.Addrs) != 2 || len(lg.Amounts) != 1 {
-			continue
-		}
-		tok, ok := e.Tokens.Resolve(lg.Address)
-		if !ok {
-			// Unknown token contracts still transfer value; synthesize
-			// metadata so the transfer is not lost.
-			tok = types.Token{
-				Address:  lg.Address,
-				Symbol:   fmt.Sprintf("UNK-%s", lg.Address.Short()),
-				Decimals: 18,
-			}
-		}
-		transfers = append(transfers, types.Transfer{
-			Seq:      lg.Seq,
-			Sender:   lg.Addrs[0],
-			Receiver: lg.Addrs[1],
-			Amount:   lg.Amounts[0],
-			Token:    tok,
-		})
-	}
-	// The substrate's sequence counter is unique per transaction, so any
-	// comparison sort yields the same order. SortFunc avoids sort.Slice's
-	// per-call interface allocations.
-	slices.SortFunc(transfers[start:], func(a, b types.Transfer) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return transfers
+func isERC20Transfer(lg *evm.Log) bool {
+	return lg.Event == "Transfer" && len(lg.Addrs) == 2 && len(lg.Amounts) == 1
 }

@@ -38,8 +38,8 @@ func TestExtractMergesStreamsBySeq(t *testing.T) {
 				Addrs: []types.Address{alice, bob}, Amounts: []uint256.Int{uint256.FromUint64(1)}},
 		},
 	}
-	ex := NewExtractor(staticResolver{tokAddr: tok})
-	got := ex.Extract(r)
+	in := NewInterner(staticResolver{tokAddr: tok})
+	got := ExtractInterned(nil, in, r)
 	if len(got) != 3 {
 		t.Fatalf("transfers = %v", got)
 	}
@@ -47,7 +47,7 @@ func TestExtractMergesStreamsBySeq(t *testing.T) {
 	if !got[0].Token.IsETH() || got[0].Seq != 0 || got[0].Amount.Uint64() != 100 {
 		t.Errorf("t0 = %+v", got[0])
 	}
-	if got[1].Token.Symbol != "TKN" || got[1].Seq != 2 {
+	if in.Token(got[1].Token) != tok || got[1].Seq != 2 || got[1].Sender != alice || got[1].Receiver != bob {
 		t.Errorf("t1 = %+v", got[1])
 	}
 	if !got[2].Token.IsETH() || got[2].Seq != 4 {
@@ -63,21 +63,22 @@ func TestExtractUnknownTokenSynthesized(t *testing.T) {
 				Addrs: []types.Address{alice, bob}, Amounts: []uint256.Int{uint256.FromUint64(5)}},
 		},
 	}
-	got := NewExtractor(staticResolver{}).Extract(r)
+	in := NewInterner(staticResolver{})
+	got := ExtractInterned(nil, in, r)
 	if len(got) != 1 {
 		t.Fatalf("transfers = %v", got)
 	}
-	if !strings.HasPrefix(got[0].Token.Symbol, "UNK-") {
-		t.Errorf("symbol = %s", got[0].Token.Symbol)
+	if sym := in.Token(got[0].Token).Symbol; !strings.HasPrefix(sym, "UNK-") {
+		t.Errorf("symbol = %s", sym)
 	}
 }
 
 func TestExtractFailedAndNil(t *testing.T) {
-	ex := NewExtractor(staticResolver{})
-	if got := ex.Extract(nil); got != nil {
+	in := NewInterner(staticResolver{})
+	if got := ExtractInterned(nil, in, nil); got != nil {
 		t.Error("nil receipt")
 	}
-	if got := ex.Extract(&evm.Receipt{Success: false}); got != nil {
+	if got := ExtractInterned(nil, in, &evm.Receipt{Success: false}); got != nil {
 		t.Error("failed receipt")
 	}
 }
@@ -91,7 +92,7 @@ func TestExtractMalformedLogsSkipped(t *testing.T) {
 			{Seq: 2, Address: tokAddr, Event: "Swap", Addrs: []types.Address{alice, bob}},     // not Transfer
 		},
 	}
-	if got := NewExtractor(staticResolver{tokAddr: tok}).Extract(r); len(got) != 0 {
+	if got := ExtractInterned(nil, NewInterner(staticResolver{tokAddr: tok}), r); len(got) != 0 {
 		t.Errorf("transfers = %v", got)
 	}
 }

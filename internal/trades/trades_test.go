@@ -8,33 +8,42 @@ import (
 	"leishen/internal/uint256"
 )
 
-var (
-	tagA = types.AppTag("Attacker")
-	tagB = types.AppTag("Uniswap")
-	ethT = types.ETH
-	btcT = types.Token{Address: types.Address{0xBB}, Symbol: "WBTC", Decimals: 8}
-	lpT  = types.Token{Address: types.Address{0x77}, Symbol: "LP", Decimals: 18}
-	sndT = types.Token{Address: types.Address{0x55}, Symbol: "SND", Decimals: 18}
+// The tests' parties and tokens, as ids the tagger and the token
+// interner would issue (ETH at its reserved id).
+const (
+	tagA types.TagID = iota + 1 // the attacker
+	tagB                        // Uniswap
+	tagC                        // another application
 )
 
-func at(seq uint64, from, to types.Tag, amount uint64, tok types.Token) types.AppTransfer {
-	return types.AppTransfer{Seq: seq, Sender: from, Receiver: to, Amount: uint256.FromUint64(amount), Token: tok}
+const (
+	ethT = types.ETHTokenID
+	btcT = types.TokenID(1)
+	lpT  = types.TokenID(2)
+	sndT = types.TokenID(3)
+)
+
+func at(seq uint64, from, to types.TagID, amount uint64, tok types.TokenID) types.ITransfer {
+	return types.ITransfer{Seq: seq, SenderTag: from, ReceiverTag: to, Amount: uint256.FromUint64(amount), Token: tok}
 }
 
-func mint(seq uint64, to types.Tag, amount uint64, tok types.Token) types.AppTransfer {
-	return types.AppTransfer{Seq: seq, Receiver: to, FromBlackHole: true, Amount: uint256.FromUint64(amount), Token: tok}
+func mint(seq uint64, to types.TagID, amount uint64, tok types.TokenID) types.ITransfer {
+	return types.ITransfer{Seq: seq, ReceiverTag: to, FromBlackHole: true, Amount: uint256.FromUint64(amount), Token: tok}
 }
 
-func burn(seq uint64, from types.Tag, amount uint64, tok types.Token) types.AppTransfer {
-	return types.AppTransfer{Seq: seq, Sender: from, ToBlackHole: true, Amount: uint256.FromUint64(amount), Token: tok}
+func burn(seq uint64, from types.TagID, amount uint64, tok types.TokenID) types.ITransfer {
+	return types.ITransfer{Seq: seq, SenderTag: from, ToBlackHole: true, Amount: uint256.FromUint64(amount), Token: tok}
 }
+
+// identify runs trade identification into a fresh slice.
+func identify(ts []types.ITransfer) []types.ITrade { return IdentifyInterned(nil, ts) }
 
 func TestSwapTwoTransfers(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -45,126 +54,126 @@ func TestSwapTwoTransfers(t *testing.T) {
 	if tr.AmountSell.Uint64() != 100 || tr.AmountBuy.Uint64() != 2 {
 		t.Errorf("amounts = %s / %s", tr.AmountSell, tr.AmountBuy)
 	}
-	if tr.TokenSell.Symbol != "ETH" || tr.TokenBuy.Symbol != "WBTC" {
-		t.Errorf("tokens = %s / %s", tr.TokenSell.Symbol, tr.TokenBuy.Symbol)
+	if tr.TokenSell != ethT || tr.TokenBuy != btcT {
+		t.Errorf("tokens = %d / %d", tr.TokenSell, tr.TokenBuy)
 	}
 }
 
 func TestSwapThreeTransfers(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 2, btcT),
 		at(2, tagB, tagA, 7, sndT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
 	tr := got[0]
-	if tr.Kind != types.TradeSwap || tr.SecondaryBuy == nil {
+	if tr.Kind != types.TradeSwap || tr.SecondaryKind != types.SecondaryIsBuy {
 		t.Fatalf("trade = %+v", tr)
 	}
-	if tr.SecondaryBuy.Amount.Uint64() != 7 || tr.SecondaryBuy.Token.Symbol != "SND" {
-		t.Errorf("secondary = %+v", tr.SecondaryBuy)
+	if tr.Secondary.Amount.Uint64() != 7 || tr.Secondary.Token != sndT {
+		t.Errorf("secondary = %+v", tr.Secondary)
 	}
 }
 
 func TestMintTwoAndReversed(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		mint(1, tagA, 50, lpT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeMint {
 		t.Fatalf("trades = %v", got)
 	}
-	if got[0].TokenBuy.Symbol != "LP" || got[0].AmountBuy.Uint64() != 50 {
+	if got[0].TokenBuy != lpT || got[0].AmountBuy.Uint64() != 50 {
 		t.Errorf("mint = %+v", got[0])
 	}
 	// Reversed order condition from Table III.
-	in = []types.AppTransfer{
+	in = []types.ITransfer{
 		mint(0, tagA, 50, lpT),
 		at(1, tagA, tagB, 100, ethT),
 	}
-	got = Identify(in)
+	got = identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeMint {
 		t.Fatalf("reversed mint = %v", got)
 	}
 }
 
 func TestMintThreeTransfers(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagA, tagB, 2, btcT),
 		mint(2, tagA, 50, lpT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
 	tr := got[0]
-	if tr.Kind != types.TradeMint || tr.SecondarySell == nil {
+	if tr.Kind != types.TradeMint || tr.SecondaryKind != types.SecondaryIsSell {
 		t.Fatalf("trade = %+v", tr)
 	}
-	if tr.SecondarySell.Token.Symbol != "WBTC" {
-		t.Errorf("secondary sell = %+v", tr.SecondarySell)
+	if tr.Secondary.Token != btcT {
+		t.Errorf("secondary sell = %+v", tr.Secondary)
 	}
-	if tr.TokenBuy.Symbol != "LP" {
-		t.Errorf("buy = %s", tr.TokenBuy.Symbol)
+	if tr.TokenBuy != lpT {
+		t.Errorf("buy = %d", tr.TokenBuy)
 	}
 }
 
 func TestRemoveTwoAndReversed(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		burn(0, tagA, 50, lpT),
 		at(1, tagB, tagA, 100, ethT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeRemove {
 		t.Fatalf("trades = %v", got)
 	}
-	if got[0].Seller != tagB || got[0].TokenSell.Symbol != "LP" {
+	if got[0].Seller != tagB || got[0].TokenSell != lpT {
 		t.Errorf("remove = %+v", got[0])
 	}
 	// Reversed.
-	in = []types.AppTransfer{
+	in = []types.ITransfer{
 		at(0, tagB, tagA, 100, ethT),
 		burn(1, tagA, 50, lpT),
 	}
-	got = Identify(in)
+	got = identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeRemove {
 		t.Fatalf("reversed remove = %v", got)
 	}
 }
 
 func TestRemoveThreeTransfers(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		burn(0, tagA, 50, lpT),
 		at(1, tagB, tagA, 100, ethT),
 		at(2, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
 	tr := got[0]
-	if tr.Kind != types.TradeRemove || tr.SecondaryBuy == nil {
+	if tr.Kind != types.TradeRemove || tr.SecondaryKind != types.SecondaryIsBuy {
 		t.Fatalf("trade = %+v", tr)
 	}
-	if tr.SecondaryBuy.Token.Symbol != "WBTC" {
-		t.Errorf("secondary = %+v", tr.SecondaryBuy)
+	if tr.Secondary.Token != btcT {
+		t.Errorf("secondary = %+v", tr.Secondary)
 	}
 }
 
 func TestGreedyConsumption(t *testing.T) {
 	// Two back-to-back swaps: each consumes its own transfers.
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 2, btcT),
 		at(2, tagA, tagB, 200, ethT),
 		at(3, tagB, tagA, 3, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 2 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -174,45 +183,44 @@ func TestGreedyConsumption(t *testing.T) {
 }
 
 func TestSameTokenNoTrade(t *testing.T) {
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 90, ethT), // same token both ways: no swap
 	}
-	if got := Identify(in); len(got) != 0 {
+	if got := identify(in); len(got) != 0 {
 		t.Errorf("trades = %v", got)
 	}
 }
 
 func TestUntaggablepartiesBlockTrades(t *testing.T) {
 	// The JulSwap / PancakeHunny failure mode: untaggable endpoints.
-	in := []types.AppTransfer{
-		at(0, types.NoTag(), tagB, 100, ethT),
-		at(1, tagB, types.NoTag(), 2, btcT),
+	in := []types.ITransfer{
+		at(0, types.NoTagID, tagB, 100, ethT),
+		at(1, tagB, types.NoTagID, 2, btcT),
 	}
-	if got := Identify(in); len(got) != 0 {
+	if got := identify(in); len(got) != 0 {
 		t.Errorf("trades with untaggable parties = %v", got)
 	}
 }
 
 func TestUnmatchedTransfersSkipped(t *testing.T) {
-	tagC := types.AppTag("Other")
-	in := []types.AppTransfer{
+	in := []types.ITransfer{
 		at(0, tagA, tagB, 100, ethT), // no reply: plain payment
 		at(1, tagC, tagA, 5, btcT),   // unrelated
 		at(2, tagA, tagB, 100, ethT), // swap starts here
 		at(3, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Seq != 2 {
 		t.Errorf("trades = %v", got)
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if got := Identify(nil); len(got) != 0 {
+	if got := identify(nil); len(got) != 0 {
 		t.Errorf("nil input: %v", got)
 	}
-	if got := Identify([]types.AppTransfer{at(0, tagA, tagB, 1, ethT)}); len(got) != 0 {
+	if got := identify([]types.ITransfer{at(0, tagA, tagB, 1, ethT)}); len(got) != 0 {
 		t.Errorf("single transfer: %v", got)
 	}
 }
@@ -221,30 +229,25 @@ func TestEmptyAndSingle(t *testing.T) {
 // never panics, never produces more trades than transfers/2, and every
 // trade's seq comes from an input transfer.
 func TestQuickIdentifyProperties(t *testing.T) {
-	tags := []types.Tag{tagA, tagB, types.AppTag("C"), types.NoTag()}
-	toks := []types.Token{ethT, btcT, lpT, sndT}
+	tags := []types.TagID{tagA, tagB, tagC, types.NoTagID}
+	toks := []types.TokenID{ethT, btcT, lpT, sndT}
 	f := func(raw []uint16) bool {
-		var in []types.AppTransfer
+		var in []types.ITransfer
 		for i, r := range raw {
 			if i >= 30 {
 				break
 			}
-			at := types.AppTransfer{
-				Seq:      uint64(i),
-				Sender:   tags[int(r)%len(tags)],
-				Receiver: tags[int(r>>2)%len(tags)],
-				Amount:   uint256.FromUint64(uint64(r)%500 + 1),
-				Token:    toks[int(r>>4)%len(toks)],
-			}
+			tr := at(uint64(i), tags[int(r)%len(tags)], tags[int(r>>2)%len(tags)],
+				uint64(r)%500+1, toks[int(r>>4)%len(toks)])
 			switch r % 11 {
 			case 0:
-				at.FromBlackHole = true
+				tr.FromBlackHole = true
 			case 1:
-				at.ToBlackHole = true
+				tr.ToBlackHole = true
 			}
-			in = append(in, at)
+			in = append(in, tr)
 		}
-		out := Identify(in)
+		out := identify(in)
 		if len(out) > len(in)/2 {
 			return false
 		}

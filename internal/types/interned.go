@@ -4,19 +4,16 @@ import "leishen/internal/uint256"
 
 // Interned pipeline vocabulary.
 //
-// The detection hot path runs extract → tag → simplify → trades → match
-// thousands of times per second, and profiling shows the string-bearing
-// tuples (Tag.Name, Token.Symbol) dominate its cost twice over: every
-// comparison is a memeq over string bytes, and every stage-to-stage copy
-// drags pointer-dense structs through the GC's scan phase. The interned
-// twins below replace each string-valued identity with a small integer
-// id issued by a scan-lifetime intern table (tags by the tagger, tokens
-// by the trace interner). Id equality is exactly struct equality —
-// tables issue one id per distinct value — so the pipeline compares and
-// hashes ints, and resolves ids back to the full structs only when a
-// report is materialized. Resolution reproduces the exact Tag/Token
-// values the string pipeline would have carried, which is what keeps
-// report output byte-identical.
+// The detection pipeline runs extract → tag → simplify → trades → match
+// thousands of times per second on tuples whose identities are small
+// integer ids issued by scan-lifetime intern tables (tags by the
+// tagger, tokens by the trace interner), not string-bearing structs:
+// comparing Tag.Name or Token.Symbol is a memeq over string bytes, and
+// copying pointer-dense structs from stage to stage drags them through
+// the GC's scan phase. Id equality is exactly struct equality — tables
+// issue one id per distinct value — so the pipeline compares ints, and
+// resolves ids back to the full Tag/Token structs only when a report is
+// materialized.
 
 // TagID is an interned application tag. The tagger issues one id per
 // distinct Tag value, so id equality is Tag equality.
@@ -33,8 +30,7 @@ const NoTagID TagID = 0
 // tag-directed rule (e.g. "no WETH tag exists in this snapshot").
 const InvalidTagID TagID = ^TagID(0)
 
-// IsNone reports whether the tag is the untaggable marker, mirroring
-// Tag.IsNone.
+// IsNone reports whether the tag is the untaggable marker (Tag.IsNone).
 func (id TagID) IsNone() bool { return id == NoTagID }
 
 // TokenID is an interned token identity. Token identity throughout the
@@ -51,8 +47,7 @@ const ETHTokenID TokenID = 0
 // disable token-directed rules (e.g. WETH unification switched off).
 const InvalidTokenID TokenID = ^TokenID(0)
 
-// IsETH reports whether the id denotes native Ether, mirroring
-// Token.IsETH.
+// IsETH reports whether the id denotes native Ether (Token.IsETH).
 func (id TokenID) IsETH() bool { return id == ETHTokenID }
 
 // ITransfer is the interned transfer tuple shared by every pipeline

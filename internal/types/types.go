@@ -267,27 +267,6 @@ func (g Tag) String() string {
 	}
 }
 
-// TaggedTransfer is the tuple tagT_i = (tag_sender, tag_receiver, amount,
-// token) from §V-B1. Sender and Receiver retain the raw addresses so later
-// stages can still distinguish distinct accounts sharing a tag.
-type TaggedTransfer struct {
-	// Seq preserves the happened-before order from the account level.
-	Seq uint64
-	// Sender / Receiver are the raw account addresses.
-	Sender, Receiver Address
-	// SenderTag / ReceiverTag are the application tags.
-	SenderTag, ReceiverTag Tag
-	// Amount is the transferred quantity in base units.
-	Amount uint256.Int
-	// Token is the transferred asset.
-	Token Token
-}
-
-// String renders the tagged transfer for reports.
-func (tt TaggedTransfer) String() string {
-	return fmt.Sprintf("tagT%d: %s -> %s  %s", tt.Seq, tt.SenderTag, tt.ReceiverTag, tt.Token.Format(tt.Amount))
-}
-
 // AppTransfer is an application-level asset transfer appT_i after
 // simplification (§V-B2): parties are tags, not addresses.
 type AppTransfer struct {
