@@ -12,8 +12,9 @@
 #   race        — the concurrent surfaces (HTTP server, scan pool, chain,
 #                 token registry, archive, follower) and the parallel lint
 #                 driver under the race detector, then ten rounds of the
-#                 scan stream and the follower's lookahead tests, whose
-#                 interleavings vary from run to run;
+#                 scan stream's, Each's windowed lookahead and the
+#                 follower's lookahead tests, whose interleavings vary
+#                 from run to run;
 #   bench-smoke — the throughput harness still runs end to end (tiny
 #                 corpus, no numbers recorded), and one follower
 #                 catch-up pass reports tx/s and allocated bytes per tx;
@@ -63,7 +64,7 @@ test:
 
 race:
 	go test -race ./internal/serve/... ./internal/evm/... ./internal/token/... ./internal/scan/... ./internal/archive/... ./internal/follower/... ./internal/analysis/... ./internal/metrics/... ./internal/vfs/...
-	go test -race -count=10 -run 'Stream|Lookahead' ./internal/scan ./internal/follower
+	go test -race -count=10 -run 'Stream|Lookahead|Each' ./internal/scan ./internal/follower
 
 # bench records scan throughput + allocation figures to BENCH_scan.json,
 # archive append/reopen figures to BENCH_archive.json, per-analyzer

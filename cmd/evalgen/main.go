@@ -9,7 +9,7 @@
 //	evalgen -table7         # Table VII: profit analysis
 //	evalgen -fig1           # Fig. 1:   weekly flash loans per provider
 //	evalgen -fig8           # Fig. 8:   monthly unknown attacks
-//	evalgen -perf           # §VI-A:    detection latency
+//	evalgen -perf           # §VI-A:    detection latency (measured on stderr)
 //	evalgen -scale 10       # corpus scale percent (default 10)
 //	evalgen -seed 7         # corpus seed
 //	evalgen -workers 8      # scan worker pool size (0 = GOMAXPROCS)
@@ -104,8 +104,10 @@ func run() error {
 		if *all || *perf {
 			fmt.Println("== §VI-A: per-transaction detection latency ==")
 			fmt.Printf("paper: 10 ms mean, 16 ms p75 (2.1 GHz Xeon, 2021)\n")
-			fmt.Printf("here:  mean %.1f µs, p50 %.1f µs, p75 %.1f µs, p99 %.1f µs over %d txs\n\n",
+			// Wall time varies; stderr keeps stdout a function of (seed, scale).
+			fmt.Fprintf(os.Stderr, "here:  mean %.1f µs, p50 %.1f µs, p75 %.1f µs, p99 %.1f µs over %d txs\n",
 				res.Perf.MeanMicros, res.Perf.P50Micros, res.Perf.P75Micros, res.Perf.P99Micros, res.Perf.Count)
+			fmt.Println()
 		}
 	}
 	return nil

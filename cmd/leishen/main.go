@@ -356,10 +356,10 @@ func runScenario(name string, verbose bool) error {
 	return nil
 }
 
-// runScan scans the corpus on the worker pool, streaming each verdict as
-// soon as it (and every verdict before it) has resolved — detections
-// print while the tail of the corpus is still being inspected, in the
-// exact order a sequential scan would print them.
+// runScan scans the corpus on the worker pool, streaming verdicts
+// window by window — detections print while later windows of the
+// corpus are still being inspected, in the exact order a sequential
+// scan would print them.
 func runScan(seed int64, scale, workers int, heuristic, verbose, jsonOut bool) error {
 	c, det, err := corpusDetector(seed, scale, heuristic)
 	if err != nil {

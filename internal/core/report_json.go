@@ -15,8 +15,9 @@ import (
 )
 
 // ReportJSON is the wire form of a detection report: the schema
-// DecodeReportJSON reads back and the HTTP monitor's live routes encode.
-// Report.AppendJSON writes the same bytes without building it. Amounts
+// DecodeReportJSON reads back. Every writer (the archive, the HTTP
+// monitor, leishen -scan -json) uses Report.AppendJSON, which writes
+// the same bytes without building it. Amounts
 // are decimal strings (they exceed JSON-number precision).
 type ReportJSON struct {
 	TxHash                string      `json:"txHash"`

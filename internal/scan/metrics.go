@@ -63,8 +63,8 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 }
 
 // observeTx folds one resolved verdict into the per-transaction
-// counters and the latency histogram. Called from the emitter (or the
-// sequential loop), so the atomics are uncontended.
+// counters and the latency histogram. Called from the goroutine that
+// delivers the batch, so the atomics are uncontended.
 func (m *Metrics) observeTx(v Verdict) {
 	m.Txs.Inc()
 	if v.FlashLoan {

@@ -7,9 +7,9 @@ import (
 )
 
 // TestScanRace drives the pool with many small chunks so workers contend
-// on the cursor and completion channel; under -race (the make race
+// on the batch cursor and done channel; under -race (the make race
 // target includes this package) it proves the shared detector, the
-// per-worker scratches, and the re-sequencer are data-race free. Two
+// per-chunk arenas, and the report hand-off are data-race free. Two
 // concurrent scans over one detector model independent batch jobs
 // sharing a snapshot.
 func TestScanRace(t *testing.T) {

@@ -1,13 +1,15 @@
-// Package scan is the parallel batch-detection engine: it shards a
-// receipt corpus across a pool of workers, each owning a view of one
-// shared *core.Detector plus its own reusable pipeline scratch, and
-// re-sequences the results so that output order, report bytes, and
-// aggregate statistics are identical to a sequential scan.
+// Package scan is the parallel batch-detection engine: one pool of
+// workers (Stream) that shards receipts into chunks, each worker
+// inspecting with a view of one shared *core.Detector and a pooled
+// arena, and hands the results back in input order, so that output
+// order, report bytes, and aggregate statistics are identical to a
+// sequential scan. Scan and Each keep every report; the encoded path
+// (Submit) keeps only the flash loan transactions' wire bytes.
 //
 // Determinism is the design constraint. Detection is a pure function of
 // the receipt (the tagger and thresholds are fixed at detector
-// construction), so inspecting receipts concurrently and emitting the
-// reports in input order reproduces the sequential run byte for byte —
+// construction), so inspecting receipts concurrently and delivering the
+// results in input order reproduces the sequential run byte for byte —
 // only the wall-clock Elapsed field varies, exactly as it does between
 // two sequential runs. Workers=1 degenerates to a plain loop.
 //
@@ -21,24 +23,22 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"leishen/internal/core"
 	"leishen/internal/evm"
-	"leishen/internal/metrics"
 	"leishen/internal/types"
 )
 
-// Chunking bounds. Chunks amortize the claim (one atomic add) and
-// completion (one channel send) over many receipts while staying small
-// enough to keep the re-sequencer streaming and the pool load-balanced.
+// Chunking bounds. Chunks amortize the claim (one atomic add) and the
+// arena hand-off over many receipts while staying small enough to keep
+// the pool load-balanced.
 const (
 	// MinChunkSize floors the adaptive chunk size: below it, per-chunk
 	// bookkeeping dominates the work.
 	MinChunkSize = 16
-	// MaxChunkSize caps the adaptive chunk size: above it, the emitter's
-	// frontier stalls too long behind a slow chunk.
+	// MaxChunkSize caps the adaptive chunk size: above it, a batch
+	// stalls too long behind its slowest chunk.
 	MaxChunkSize = 512
 	// targetChunksPerWorker is the load-balancing slack the adaptive
 	// size aims for: enough chunks per worker that an unlucky worker
@@ -46,7 +46,7 @@ const (
 	targetChunksPerWorker = 8
 )
 
-// Arena is the per-worker pipeline arena (alias of core.Arena): every
+// Arena is the per-chunk pipeline arena (alias of core.Arena): every
 // intermediate buffer plus the slabs backing report data. Scan and Each
 // draw arenas from an internal pool, so repeated scans through one
 // engine reuse warmed buffers across calls.
@@ -56,7 +56,7 @@ type Arena = core.Arena
 // because reports own their data (slab regions are never rewritten):
 // an arena returned to the pool may still back live reports, and a
 // later scan only appends to its slabs. For the same reason an arena
-// from this pool is never rewound; a Stream keeps its own.
+// from this pool is never rewound; the encoded path keeps its own.
 var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}
 
 // Options configures a scan.
@@ -87,7 +87,7 @@ func (o Options) workers() int {
 // worker about targetChunksPerWorker chunks, clamped to
 // [MinChunkSize, MaxChunkSize] — small corpora keep chunks small enough
 // to use every worker, huge corpora amortize claim overhead without
-// stalling the in-order emitter.
+// stalling a batch behind one long chunk.
 func (o Options) chunkSize(n int) int {
 	if o.ChunkSize > 0 {
 		return o.ChunkSize
@@ -225,136 +225,51 @@ func Scan(det *core.Detector, receipts []*evm.Receipt, opts Options) ([]*core.Re
 }
 
 // Each inspects every receipt and streams the reports to fn in input
-// order as they resolve — a parallel scan behind a sequential callback.
-// fn runs on the calling goroutine; returning a non-nil error stops the
-// scan (workers finish their in-flight chunk, no further reports are
-// delivered) and Each returns that error with the summary of the reports
+// order — a parallel scan behind a sequential callback. It submits the
+// receipts, a window at a time, as report batches to a Stream sized for
+// the input; while fn receives one window's reports, the pool inspects
+// the next (one worker inspects inline, without lookahead). fn runs on
+// the calling goroutine; a non-nil error from it stops the scan (the
+// window in flight finishes, nothing further is submitted or
+// delivered) and Each returns it with the summary of the reports
 // delivered so far.
 func Each(det *core.Detector, receipts []*evm.Receipt, opts Options, fn func(i int, rep *core.Report) error) (Summary, error) {
 	var sum Summary
-	m := opts.Metrics
-	err := run(len(receipts), opts, func(int) (func(int) *core.Report, func()) {
-		scratch := arenaPool.Get().(*core.Arena)
-		inspect := func(i int) *core.Report { return inspectSafe(det, receipts[i], &scratch, m) }
-		// A closure, not a bound argument: inspectSafe swaps in a fresh
-		// arena after a recovered panic, and only the live one may be
-		// pooled.
-		return inspect, func() { arenaPool.Put(scratch) }
-	}, func(i int, rep *core.Report) error {
-		v := verdictOf(rep)
-		sum.observe(v)
-		if m != nil {
-			m.observeTx(v)
-		}
-		return fn(i, rep)
-	})
-	return sum, err
-}
-
-// run is the engine behind Each. With one worker it runs inline: no
-// goroutine pool, no cursor, no re-sequencer — the sequential baseline
-// the determinism guarantee is stated against. Otherwise workers claim
-// chunk indices from an atomic cursor, write results into disjoint
-// regions of results, and announce each finished chunk; the calling
-// goroutine advances a frontier over the completed chunks and hands
-// every result to emit strictly in input order.
-//
-// newWorker(w) starts worker w: it returns the per-receipt function
-// and a release that runs when the worker exits. A non-nil error from
-// emit stops the pass: workers finish their in-flight chunk, nothing
-// further is emitted, and run returns that error once every worker has
-// exited.
-func run(n int, opts Options, newWorker func(w int) (func(i int) *core.Report, func()), emit func(i int, rep *core.Report) error) error {
+	n := len(receipts)
 	if n == 0 {
-		return nil
+		return sum, nil
 	}
-	cs := opts.chunkSize(n)
-	numChunks := (n + cs - 1) / cs
-	workers := opts.ResolvedWorkers(n)
+	opts.Workers = opts.ResolvedWorkers(n)
 	m := opts.Metrics
 	if m != nil {
 		m.Scans.Inc()
-		m.Workers.Set(int64(workers))
+		m.Workers.Set(int64(opts.Workers))
 	}
-
-	if workers <= 1 {
-		do, release := newWorker(0)
-		defer release()
-		for i := 0; i < n; i++ {
-			if err := emit(i, do(i)); err != nil {
-				return err
+	s := NewStream(det, opts)
+	defer s.Close()
+	// targetChunksPerWorker full chunks per worker: a shorter input is
+	// one batch, chunked as chunkSize sizes the whole input.
+	window := opts.Workers * targetChunksPerWorker * MaxChunkSize
+	var next *Batch
+	for lo := 0; lo < n; lo += window {
+		cur := next
+		if cur == nil { // the first window, or any window of an inline stream
+			cur = s.submitReports(receipts[lo:min(lo+window, n)])
+		}
+		if hi := lo + window; hi < n && s.tickets != nil {
+			next = s.submitReports(receipts[hi:min(hi+window, n)]) // one window of lookahead
+		}
+		<-cur.done
+		for i, rep := range cur.reps {
+			v := verdictOf(rep)
+			sum.observe(v)
+			if m != nil {
+				m.observeTx(v)
+			}
+			if err := fn(lo+i, rep); err != nil {
+				return sum, err
 			}
 		}
-		return nil
 	}
-
-	results := make([]*core.Report, n)
-	var (
-		cursor atomic.Int64
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-	)
-	doneCh := make(chan int, numChunks)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do, release := newWorker(w)
-			defer release()
-			for {
-				if stop.Load() {
-					return
-				}
-				c := int(cursor.Add(1)) - 1
-				if c >= numChunks {
-					return
-				}
-				lo := c * cs
-				hi := min(lo+cs, n)
-				var t metrics.Timer
-				if m != nil {
-					m.InFlight.Add(int64(hi - lo))
-					t = m.ChunkSeconds.Start()
-				}
-				for i := lo; i < hi; i++ {
-					results[i] = do(i)
-				}
-				if m != nil {
-					t.Stop()
-					m.InFlight.Add(int64(lo - hi))
-					m.Chunks.Inc()
-				}
-				doneCh <- c
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(doneCh)
-	}()
-
-	completed := make([]bool, numChunks)
-	frontier := 0
-	var emitErr error
-	for c := range doneCh {
-		completed[c] = true
-		for emitErr == nil && frontier < numChunks && completed[frontier] {
-			lo := frontier * cs
-			hi := min(lo+cs, n)
-			for i := lo; i < hi; i++ {
-				rep := results[i]
-				results[i] = nil // release as we stream
-				if err := emit(i, rep); err != nil {
-					emitErr = err
-					stop.Store(true)
-					break
-				}
-			}
-			frontier++
-		}
-	}
-	if emitErr != nil {
-		clear(results) // drop the results that will never be emitted
-	}
-	return emitErr
+	return sum, nil
 }

@@ -10,15 +10,15 @@ import (
 	"leishen/internal/metrics"
 )
 
-// rewindPool holds the arenas of the encoded path. They are kept apart
-// from arenaPool because a Stream rewinds its arena after every
+// rewindPool holds the arenas of encoded batches. They are kept apart
+// from arenaPool because an encoded batch rewinds its arena after every
 // receipt: an arena that once backed a report Scan or Each handed out
 // must never be rewound, and an arena from this pool never backs a
 // report that outlives its encoding. Workers take one per chunk, so an
 // idle worker holds none.
 var rewindPool = sync.Pool{New: func() any { return core.NewArena() }}
 
-// bufsPool recycles a batch's storage — its receipt list, result slots
+// bufsPool recycles an encoded batch's storage — its receipt list, result slots
 // and per-chunk encode buffers — across batches.
 var bufsPool = sync.Pool{New: func() any { return new(batchBufs) }}
 
@@ -47,18 +47,21 @@ type encoded struct {
 // transaction, or a receipt whose inspection failed.
 func (v Verdict) kept() bool { return v.FlashLoan || v.Error }
 
-// Stream is the encoded scan for callers that want the wire form and
-// not the report: a pool of workers that outlives any one batch, so a
-// caller can submit the next batch while the workers still encode the
-// previous one. Each receipt is inspected, its report's AppendJSON
-// bytes appended to its chunk's buffer, its Verdict copied out and the
-// arena rewound before the next receipt, so no report outlives its
-// encoding and steady-state scanning allocates next to nothing.
+// Stream is the scan engine's worker pool. It outlives any one batch,
+// so a caller can submit the next batch while the workers still
+// inspect the previous one. A batch is one of two kinds, branched on
+// once per chunk. An encoded batch (Submit) is for callers that want
+// the wire form and not the report: each receipt is inspected, its
+// report's AppendJSON bytes appended to its chunk's buffer, its
+// Verdict copied out and the arena rewound before the next receipt, so
+// no report outlives its encoding and steady-state scanning allocates
+// next to nothing. A report batch (Scan, Each) keeps every report, on
+// arenas from arenaPool that are never rewound.
 //
 // Batches are claimed in submission order: workers finish the chunks
 // of one batch before they start on the next. A batch small enough for
-// one worker (ResolvedWorkers <= 1) is encoded inline in Submit, with
-// no goroutine hop.
+// one worker (ResolvedWorkers <= 1) is inspected inline, with no
+// goroutine hop.
 type Stream struct {
 	det     *core.Detector
 	opts    Options
@@ -84,8 +87,8 @@ func NewStream(det *core.Detector, opts Options) *Stream {
 	return s
 }
 
-// Close waits for every submitted batch to finish encoding and stops
-// the workers. Submit must not be called after Close.
+// Close waits for every submitted batch to finish and stops the
+// workers. Submit must not be called after Close.
 func (s *Stream) Close() {
 	if s.tickets != nil {
 		close(s.tickets)
@@ -97,14 +100,17 @@ func (s *Stream) Close() {
 // so a worker holding a late ticket for a finished batch only ever
 // finds its cursor exhausted.
 type Batch struct {
-	s       *Stream
-	n       int
-	cs      int // receipts per chunk
-	chunks  int
-	cursor  atomic.Int64
-	pending atomic.Int64 // chunks not yet encoded
-	done    chan struct{}
-	bufs    *batchBufs
+	s        *Stream
+	receipts []*evm.Receipt
+	cs       int // receipts per chunk
+	chunks   int
+	cursor   atomic.Int64
+	pending  atomic.Int64 // chunks not yet inspected
+	done     chan struct{}
+	// An encoded batch holds pooled result slots and wire buffers; a
+	// report batch holds one report slot per receipt (never nil).
+	bufs *batchBufs
+	reps []*core.Report
 }
 
 // Submit queues receipts for encoding and returns at once unless the
@@ -116,42 +122,52 @@ type Batch struct {
 // receipts themselves must stay unchanged until the batch is done.
 func (s *Stream) Submit(receipts []*evm.Receipt) *Batch {
 	n := len(receipts)
-	b := &Batch{s: s, n: n, done: closed, bufs: bufsPool.Get().(*batchBufs)}
-	bb := b.bufs
+	bb := bufsPool.Get().(*batchBufs)
 	bb.receipts = append(bb.receipts[:0], receipts...)
 	if cap(bb.results) < n {
 		bb.results = make([]encoded, n)
 	}
 	bb.results = bb.results[:n]
+	if m := s.opts.Metrics; m != nil && n > 0 {
+		m.Scans.Inc()
+		m.Workers.Set(int64(s.opts.ResolvedWorkers(n)))
+	}
+	return s.start(&Batch{bufs: bb}, bb.receipts)
+}
+
+// submitReports queues a report batch over receipts, uncounted in
+// Metrics: Each counts its whole scan once.
+func (s *Stream) submitReports(receipts []*evm.Receipt) *Batch {
+	return s.start(&Batch{reps: make([]*core.Report, len(receipts))}, receipts)
+}
+
+// start chunks b over receipts and either inspects it inline or hands
+// one ticket per worker it can occupy to the pool.
+func (s *Stream) start(b *Batch, receipts []*evm.Receipt) *Batch {
+	b.s, b.receipts, b.done = s, receipts, closed
+	n := len(receipts)
 	if n == 0 {
 		return b
 	}
 	workers := s.opts.ResolvedWorkers(n)
-	if m := s.opts.Metrics; m != nil {
-		m.Scans.Inc()
-		m.Workers.Set(int64(workers))
+	b.cs, b.chunks = n, 1
+	if workers > 1 {
+		b.cs = s.opts.chunkSize(n)
+		b.chunks = (n + b.cs - 1) / b.cs
+	}
+	if bb := b.bufs; bb != nil && len(bb.wire) < b.chunks {
+		bb.wire = append(bb.wire, make([][]byte, b.chunks-len(bb.wire))...)
 	}
 	if workers <= 1 {
-		b.cs, b.chunks = n, 1
-		b.grow()
-		b.encodeChunk(0)
+		b.inspectChunk(0)
 		return b
 	}
-	b.cs = s.opts.chunkSize(n)
-	b.chunks = (n + b.cs - 1) / b.cs
-	b.grow()
 	b.pending.Store(int64(b.chunks))
 	b.done = make(chan struct{})
 	for w := 0; w < workers; w++ {
 		s.tickets <- b
 	}
 	return b
-}
-
-func (b *Batch) grow() {
-	for len(b.bufs.wire) < b.chunks {
-		b.bufs.wire = append(b.bufs.wire, nil)
-	}
 }
 
 // work is one stream worker: each ticket is an invitation to claim
@@ -170,7 +186,7 @@ func (s *Stream) work() {
 				m.InFlight.Add(int64(b.chunkLen(c)))
 				t = m.ChunkSeconds.Start()
 			}
-			b.encodeChunk(c)
+			b.inspectChunk(c)
 			if m != nil {
 				t.Stop()
 				m.InFlight.Add(-int64(b.chunkLen(c)))
@@ -187,16 +203,42 @@ func (s *Stream) work() {
 	}
 }
 
-func (b *Batch) chunkLen(c int) int { return min(b.cs, b.n-c*b.cs) }
+func (b *Batch) chunkLen(c int) int { return min(b.cs, len(b.receipts)-c*b.cs) }
 
-// encodeChunk inspects and encodes chunk c on a rewind arena taken for
-// the chunk.
-func (b *Batch) encodeChunk(c int) {
+// inspectChunk runs chunk c as its batch's kind asks. The kind is
+// branched on here, once per chunk, so neither per-receipt loop pays
+// for the other.
+func (b *Batch) inspectChunk(c int) {
+	lo := c * b.cs
+	hi := lo + b.chunkLen(c)
+	if b.reps != nil {
+		b.reportChunk(lo, hi)
+	} else {
+		b.encodeChunk(c, lo, hi)
+	}
+}
+
+// reportChunk inspects receipts [lo, hi) on an arena from arenaPool and
+// keeps every report.
+func (b *Batch) reportChunk(lo, hi int) {
+	det, m := b.s.det, b.s.opts.Metrics
+	scratch := arenaPool.Get().(*core.Arena)
+	for i := lo; i < hi; i++ {
+		b.reps[i] = inspectSafe(det, b.receipts[i], &scratch, m)
+	}
+	// inspectSafe swaps in a fresh arena after a recovered panic; only
+	// the live one is pooled.
+	arenaPool.Put(scratch)
+}
+
+// encodeChunk inspects and encodes chunk c, receipts [lo, hi), on a
+// rewind arena taken for the chunk.
+func (b *Batch) encodeChunk(c, lo, hi int) {
 	det, m, bb := b.s.det, b.s.opts.Metrics, b.bufs
 	scratch := rewindPool.Get().(*core.Arena)
 	buf := bb.wire[c][:0]
-	for i, hi := c*b.cs, c*b.cs+b.chunkLen(c); i < hi; i++ {
-		rep := inspectSafe(det, bb.receipts[i], &scratch, m)
+	for i := lo; i < hi; i++ {
+		rep := inspectSafe(det, b.receipts[i], &scratch, m)
 		e := encoded{v: verdictOf(rep)}
 		if e.v.kept() {
 			start := len(buf)
@@ -207,15 +249,13 @@ func (b *Batch) encodeChunk(c int) {
 		bb.results[i] = e
 	}
 	bb.wire[c] = buf
-	// inspectSafe swaps in a fresh arena after a recovered panic; only
-	// the live one is pooled.
 	rewindPool.Put(scratch)
 }
 
-// Done is closed once every receipt of the batch is encoded.
+// Done is closed once every receipt of the batch is inspected.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
-// Each waits for the batch and delivers its kept receipts to fn in
+// Each waits for an encoded batch and delivers its kept receipts to fn in
 // input order: the verdict and the report's wire bytes, a
 // capacity-capped region of the batch's buffers valid until Release.
 // Each folds every delivered verdict into the returned Summary and the

@@ -4,10 +4,11 @@
 // removes the encoder allocation, the encoder's internal scratch
 // growth, and chunked transfer encoding — the response is one
 // header-complete write. The buffer is a plain byte slice, so
-// append-form producers (archive.AppendSelect for /reports) write into
-// it directly. Each pooled buffer carries a json.Encoder permanently
-// wired to it, so dynamic payloads (/healthz, /batch) also encode
-// without a per-request encoder.
+// append-form producers write into it directly: archive.AppendSelect
+// for /reports, Report.AppendJSON for /tx, /block and /batch. Each
+// pooled buffer carries a json.Encoder permanently wired to it, so
+// dynamic payloads (/healthz, the /batch summary) also encode without
+// a per-request encoder.
 package serve
 
 import (
@@ -16,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 
+	"leishen/internal/core"
 	"leishen/internal/metrics"
 )
 
@@ -75,6 +77,35 @@ func writeBuf(w http.ResponseWriter, status int, rb *respBuf) {
 	//lint:allow errflow headers are already sent; a failed body write has no recovery path
 	_, _ = w.Write(rb.b)
 	putRespBuf(rb)
+}
+
+// appendReports appends reps as a JSON array of their wire forms — []
+// when empty, as encoding/json writes an empty slice.
+func (rb *respBuf) appendReports(reps []*core.Report) error {
+	rb.b = append(rb.b, '[')
+	for i, rep := range reps {
+		if i > 0 {
+			rb.b = append(rb.b, ',')
+		}
+		var err error
+		if rb.b, err = rep.AppendJSON(rb.b); err != nil {
+			return err
+		}
+	}
+	rb.b = append(rb.b, ']')
+	return nil
+}
+
+// sendAppended ends the document in rb with json.Encoder's newline and
+// sends it as a 200 — or, if building it failed, answers 500 with err.
+func sendAppended(w http.ResponseWriter, rb *respBuf, err error) {
+	if err != nil {
+		putRespBuf(rb)
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	rb.b = append(rb.b, '\n')
+	writeBuf(w, http.StatusOK, rb)
 }
 
 // writePooledJSON encodes v through a pooled buffer+encoder pair and

@@ -22,6 +22,10 @@
 //	                        filters, ?limit= and ?after={txhash} paginate
 //	GET  /reports/{hash}    one archived report by transaction hash
 //	GET  /checkpoint        the follower's durable progress checkpoint
+//
+// Report bodies are AppendJSON bytes in a pooled buffer (respbuf.go),
+// complete before any header is written: a report with no wire form
+// answers 500.
 package serve
 
 import (
@@ -382,8 +386,7 @@ func (s *Server) handleReportByTx(w http.ResponseWriter, r *http.Request) {
 	}
 	rb := getRespBuf()
 	rb.b = append(rb.b, rec.Report...)
-	rb.b = append(rb.b, '\n')
-	writeBuf(w, http.StatusOK, rb)
+	sendAppended(w, rb, nil)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -407,7 +410,8 @@ type BatchRequest struct {
 }
 
 // BatchResponse is the /batch reply: one report per requested hash, in
-// request order, plus the batch summary.
+// request order, plus the batch summary (the decode schema of the bytes
+// handleBatch appends).
 type BatchResponse struct {
 	Reports []core.ReportJSON `json:"reports"`
 	Summary scan.Summary      `json:"summary"`
@@ -456,11 +460,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.stats.Add(sum)
 	s.mu.Unlock()
-	resp := BatchResponse{Reports: make([]core.ReportJSON, len(reports)), Summary: sum}
-	for i, rep := range reports {
-		resp.Reports[i] = rep.JSON()
+	rb := getRespBuf()
+	rb.b = append(rb.b, `{"reports":`...)
+	err := rb.appendReports(reports)
+	if err == nil {
+		rb.b = append(rb.b, `,"summary":`...)
+		err = rb.enc.Encode(sum)
+		rb.b = append(rb.b[:len(rb.b)-1], '}') // the encoder's newline ends the document instead
 	}
-	writePooledJSON(w, http.StatusOK, resp)
+	sendAppended(w, rb, err)
 }
 
 func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +483,11 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown transaction "+raw)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.inspect(receipt).JSON())
+	rep := s.det.Inspect(receipt)
+	s.observe(rep)
+	rb := getRespBuf()
+	rb.b, err = rep.AppendJSON(rb.b)
+	sendAppended(w, rb, err)
 }
 
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
@@ -484,20 +496,14 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad block number")
 		return
 	}
-	var blk *evm.Block
-	for _, b := range s.chain.Blocks() {
-		if b.Number == n {
-			blk = b
-			break
-		}
-	}
-	if blk == nil {
+	blk, ok := s.chain.BlockByNumber(n)
+	if !ok {
 		writeError(w, http.StatusNotFound, "unknown block")
 		return
 	}
 	// HasMarker is the cheap superset screen; Inspect identifies each
 	// candidate once, and only those with a loan are listed and counted.
-	reports := make([]core.ReportJSON, 0, 4)
+	reports := make([]*core.Report, 0, 4)
 	for _, receipt := range blk.Receipts {
 		if !flashloan.HasMarker(receipt) {
 			continue
@@ -507,19 +513,22 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		s.observe(rep)
-		reports = append(reports, rep.JSON())
+		reports = append(reports, rep)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"block":   blk.Number,
-		"time":    blk.Time,
-		"reports": reports,
-	})
-}
-
-func (s *Server) inspect(receipt *evm.Receipt) *core.Report {
-	rep := s.det.Inspect(receipt)
-	s.observe(rep)
-	return rep
+	// The keys in the order encoding/json sorts a map's.
+	rb := getRespBuf()
+	rb.b = append(rb.b, `{"block":`...)
+	rb.b = strconv.AppendUint(rb.b, blk.Number, 10)
+	rb.b = append(rb.b, `,"reports":`...)
+	err = rb.appendReports(reports)
+	if err == nil {
+		rb.b = append(rb.b, `,"time":"`...)
+		var withTime []byte
+		if withTime, err = blk.Time.AppendText(rb.b); err == nil {
+			rb.b = append(withTime, `"}`...)
+		}
+	}
+	sendAppended(w, rb, err)
 }
 
 // observe folds one report into the lifetime stats.

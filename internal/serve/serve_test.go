@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,8 +102,63 @@ func TestBlockScan(t *testing.T) {
 	if len(out.Reports) != 1 || !out.Reports[0].IsAttack {
 		t.Fatalf("block reports = %+v", out.Reports)
 	}
-	getJSON(t, srv.URL+"/block/999999", http.StatusNotFound, nil)
+	// Three empty blocks after the attack's: block lookup by number
+	// must find one strictly inside the chain and nothing past its head.
+	for range 3 {
+		res.Env.Chain.MineBlock()
+	}
+	head := res.Env.Chain.HeadBlock()
+	for _, n := range []uint64{0, head + 1, 999999} {
+		getJSON(t, fmt.Sprintf("%s/block/%d", srv.URL, n), http.StatusNotFound, nil)
+	}
+	mid := res.Receipt.Block + 1
+	var midOut blockResp
+	getJSON(t, fmt.Sprintf("%s/block/%d", srv.URL, mid), http.StatusOK, &midOut)
+	if midOut.Block != mid || midOut.Reports == nil || len(midOut.Reports) != 0 {
+		t.Fatalf("block %d = %+v, want its number and an empty report list", mid, midOut)
+	}
 	getJSON(t, srv.URL+"/block/xyz", http.StatusBadRequest, nil)
+}
+
+// TestUnencodableIs500: a body with no JSON form answers 500 with an
+// error body, never an empty 200. The attack receipt is stamped in year
+// 10000, which has no RFC 3339 form, so its report fails to encode on
+// /tx, /block and /batch; another block stamped so fails on its time.
+func TestUnencodableIs500(t *testing.T) {
+	srv, res := testServer(t)
+	chain := res.Env.Chain
+	receipt, ok := chain.Receipt(res.Receipt.TxHash)
+	if !ok {
+		t.Fatal("attack receipt not on the chain")
+	}
+	year10000 := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	receipt.Time = year10000
+	blk := chain.MineBlock()
+	blk.Time = year10000
+	other := blk.Number
+
+	check := func(resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s: error body does not decode: %v", resp.Request.URL, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body["error"], "year") {
+			t.Fatalf("%s = %d %v, want 500 naming the year", resp.Request.URL, resp.StatusCode, body)
+		}
+	}
+	check(http.Get(srv.URL + "/tx/" + receipt.TxHash.String()))
+	check(http.Get(fmt.Sprintf("%s/block/%d", srv.URL, receipt.Block)))
+	check(http.Get(fmt.Sprintf("%s/block/%d", srv.URL, other)))
+	raw, err := json.Marshal(BatchRequest{Hashes: []string{receipt.TxHash.String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(raw)))
 }
 
 func postJSON(t *testing.T, url string, body any, wantStatus int, into any) {

@@ -117,9 +117,9 @@ func ScanReceipts(det *Detector, receipts []*Receipt, opts ScanOptions) ([]*Repo
 	return scan.Scan(det, receipts, opts)
 }
 
-// ScanEach streams each report, in input order, to fn as soon as it and
-// all its predecessors have resolved. A non-nil error from fn stops the
-// scan and is returned.
+// ScanEach streams each report, in input order, to fn while later
+// receipts are still being inspected (the pool works one window
+// ahead). A non-nil error from fn stops the scan and is returned.
 func ScanEach(det *Detector, receipts []*Receipt, opts ScanOptions, fn func(i int, rep *Report) error) (ScanSummary, error) {
 	return scan.Each(det, receipts, opts, fn)
 }
