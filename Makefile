@@ -19,9 +19,8 @@
 #                 corpus, no numbers recorded), and one follower
 #                 catch-up pass reports tx/s and allocated bytes per tx;
 #   bench-serve-smoke — the HTTP serve benchmark on a tiny archive; it
-#                 hard-fails unless the zero-decode path serves bodies
-#                 byte-identical to the decode path and allocates less
-#                 per request, so it doubles as a correctness gate;
+#                 hard-fails when a /reports page allocates more than
+#                 8 times (a handler-level count, not a host figure);
 #   bench-metrics-smoke — the telemetry overhead proof; it hard-fails
 #                 when an instrumented scan runs >3% slower than a bare
 #                 one or allocates on the per-transaction path;
@@ -67,9 +66,9 @@ race:
 	go test -race -count=10 -run 'Stream|Lookahead|Each' ./internal/scan ./internal/follower
 
 # bench records scan throughput + allocation figures to BENCH_scan.json,
-# archive append/reopen figures to BENCH_archive.json, per-analyzer
-# lint wall time to BENCH_lint.json, HTTP read-path throughput
-# (decode vs zero-decode serving) to BENCH_serve.json, and the
+# archive append/reopen/select figures to BENCH_archive.json,
+# per-analyzer lint wall time to BENCH_lint.json, HTTP read-path
+# throughput and allocations to BENCH_serve.json, and the
 # telemetry overhead proof to BENCH_metrics.json (tracked; regenerate
 # when the hot path, the storage layer, the analysis suite, the serving
 # layer, or the instrumentation changes).

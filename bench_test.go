@@ -33,17 +33,17 @@ var (
 	harvestRes  *attacks.Result
 )
 
-func benchCorpus(b *testing.B) *world.Corpus {
-	b.Helper()
+func benchCorpus(tb testing.TB) *world.Corpus {
+	tb.Helper()
 	corpusOnce.Do(func() {
 		c, err := world.Generate(world.Config{Seed: 7, ScalePct: 1})
 		if err != nil {
-			b.Fatalf("corpus: %v", err)
+			tb.Fatalf("corpus: %v", err)
 		}
 		benchC = c
 	})
 	if benchC == nil {
-		b.Skip("corpus generation failed earlier")
+		tb.Skip("corpus generation failed earlier")
 	}
 	return benchC
 }
@@ -356,43 +356,65 @@ func BenchmarkAblationAmountRepr(b *testing.B) {
 	})
 }
 
+// thresholdSweeps are the threshold ablation's settings and what each
+// detects on the seed-7, scale-1 corpus: every detection, and the true
+// ones — full-threshold attacks and profitable sub-threshold (gray)
+// ones, which manual inspection confirms.
+var thresholdSweeps = []struct {
+	name              string
+	th                core.Thresholds
+	detected, trueDet int
+}{
+	{"paper", core.DefaultThresholds(), 180, 142},
+	{"krp3", core.Thresholds{KRPMinBuys: 3, SBSMinVolatilityBps: 2800, SBSAmountToleranceBps: 10, MBSMinRounds: 3}, 188, 150},
+	{"sbs10pct", core.Thresholds{KRPMinBuys: 5, SBSMinVolatilityBps: 1000, SBSAmountToleranceBps: 10, MBSMinRounds: 3}, 188, 142},
+	{"mbs2", core.Thresholds{KRPMinBuys: 5, SBSMinVolatilityBps: 2800, SBSAmountToleranceBps: 10, MBSMinRounds: 2}, 194, 150},
+}
+
+// thresholdDetections runs the corpus through a detector with th and
+// counts its detections and the true ones among them.
+func thresholdDetections(c *world.Corpus, th core.Thresholds) (detected, trueDet int) {
+	det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{
+		Thresholds: th,
+		Simplify:   simplify.Options{WETH: c.Env.WETH},
+	})
+	for _, r := range c.Receipts {
+		if !det.Inspect(r).IsAttack {
+			continue
+		}
+		detected++
+		switch c.Truth[r.TxHash].Kind {
+		case world.KindAttack, world.KindGrayAttack:
+			trueDet++
+		}
+	}
+	return detected, trueDet
+}
+
+// TestAblationThresholds pins EXPERIMENTS.md's threshold ablation:
+// lowering any one threshold admits more detections, at the precision
+// the table states.
+func TestAblationThresholds(t *testing.T) {
+	c := benchCorpus(t)
+	for _, sw := range thresholdSweeps {
+		detected, trueDet := thresholdDetections(c, sw.th)
+		if detected != sw.detected || trueDet != sw.trueDet {
+			t.Errorf("thresholds=%s: detected %d, true %d; want %d, %d", sw.name, detected, trueDet, sw.detected, sw.trueDet)
+		}
+	}
+}
+
 // BenchmarkAblationThresholds sweeps the pattern thresholds over the
 // corpus, quantifying the precision/recall trade-off §VII discusses
 // (e.g. KRP with 3 buys instead of 5 admits more detections).
 func BenchmarkAblationThresholds(b *testing.B) {
 	c := benchCorpus(b)
-	sweeps := []struct {
-		name string
-		th   core.Thresholds
-	}{
-		{"paper", core.DefaultThresholds()},
-		{"krp3", core.Thresholds{KRPMinBuys: 3, SBSMinVolatilityBps: 2800, SBSAmountToleranceBps: 10, MBSMinRounds: 3}},
-		{"sbs10pct", core.Thresholds{KRPMinBuys: 5, SBSMinVolatilityBps: 1000, SBSAmountToleranceBps: 10, MBSMinRounds: 3}},
-		{"mbs2", core.Thresholds{KRPMinBuys: 5, SBSMinVolatilityBps: 2800, SBSAmountToleranceBps: 10, MBSMinRounds: 2}},
-	}
-	for _, sw := range sweeps {
-		sw := sw
+	for _, sw := range thresholdSweeps {
 		b.Run(sw.name, func(b *testing.B) {
-			det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{
-				Thresholds: sw.th,
-				Simplify:   simplify.Options{WETH: c.Env.WETH},
-			})
 			b.ReportAllocs()
 			var detected, trueDet int
 			for i := 0; i < b.N; i++ {
-				detected, trueDet = 0, 0
-				for _, r := range c.Receipts {
-					rep := det.Inspect(r)
-					if rep.IsAttack {
-						detected++
-						// Manual inspection confirms full-threshold attacks
-						// and the profitable sub-threshold (gray) ones.
-						switch c.Truth[r.TxHash].Kind {
-						case world.KindAttack, world.KindGrayAttack:
-							trueDet++
-						}
-					}
-				}
+				detected, trueDet = thresholdDetections(c, sw.th)
 			}
 			prec := 0.0
 			if detected > 0 {
@@ -403,44 +425,71 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSimplifyRules disables each §V-B2 simplification rule
-// and counts how many of the 22 known attacks survive detection — the
-// rules are load-bearing, not cosmetic.
-func BenchmarkAblationSimplifyRules(b *testing.B) {
+// simplifyVariants switch off one §V-B2 simplification rule each, with
+// how many of the 15 known attacks LeiShen detects (Table IV) survive.
+var simplifyVariants = []struct {
+	name     string
+	mod      func(*simplify.Options)
+	detected int
+}{
+	{"all-rules", func(*simplify.Options) {}, 15},
+	{"no-intra-app", func(o *simplify.Options) { o.DisableIntraAppRule = true }, 9},
+	{"no-weth", func(o *simplify.Options) { o.DisableWETHRule = true }, 10},
+	{"no-merge", func(o *simplify.Options) { o.DisableMergeRule = true }, 12},
+}
+
+// runKnownAttacks executes every known-attack scenario once.
+func runKnownAttacks(tb testing.TB) ([]attacks.Scenario, []*attacks.Result) {
+	tb.Helper()
 	scenarios := attacks.All()
 	results := make([]*attacks.Result, 0, len(scenarios))
 	for _, sc := range scenarios {
 		res, err := sc.Run()
 		if err != nil {
-			b.Fatalf("%s: %v", sc.Name, err)
+			tb.Fatalf("%s: %v", sc.Name, err)
 		}
 		results = append(results, res)
 	}
-	variants := []struct {
-		name string
-		mod  func(*simplify.Options)
-	}{
-		{"all-rules", func(*simplify.Options) {}},
-		{"no-intra-app", func(o *simplify.Options) { o.DisableIntraAppRule = true }},
-		{"no-weth", func(o *simplify.Options) { o.DisableWETHRule = true }},
-		{"no-merge", func(o *simplify.Options) { o.DisableMergeRule = true }},
+	return scenarios, results
+}
+
+// knownDetections counts the scenarios LeiShen is expected to detect
+// that a detector with mod applied to its simplification options flags.
+func knownDetections(scenarios []attacks.Scenario, results []*attacks.Result, mod func(*simplify.Options)) int {
+	detected := 0
+	for j, res := range results {
+		opts := simplify.Options{WETH: res.Env.WETH}
+		mod(&opts)
+		det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{Simplify: opts})
+		if det.Inspect(res.Receipt).IsAttack && scenarios[j].LeiShen {
+			detected++
+		}
 	}
-	for _, v := range variants {
-		v := v
+	return detected
+}
+
+// TestAblationSimplifyRules pins EXPERIMENTS.md's rule ablation: every
+// simplification rule is load-bearing for some known attacks.
+func TestAblationSimplifyRules(t *testing.T) {
+	scenarios, results := runKnownAttacks(t)
+	for _, v := range simplifyVariants {
+		if got := knownDetections(scenarios, results, v.mod); got != v.detected {
+			t.Errorf("simplify=%s: %d known attacks detected, want %d", v.name, got, v.detected)
+		}
+	}
+}
+
+// BenchmarkAblationSimplifyRules disables each §V-B2 simplification rule
+// and counts how many of the 22 known attacks survive detection — the
+// rules are load-bearing, not cosmetic.
+func BenchmarkAblationSimplifyRules(b *testing.B) {
+	scenarios, results := runKnownAttacks(b)
+	for _, v := range simplifyVariants {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var detected int
 			for i := 0; i < b.N; i++ {
-				detected = 0
-				for j, res := range results {
-					opts := simplify.Options{WETH: res.Env.WETH}
-					v.mod(&opts)
-					det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{Simplify: opts})
-					rep := det.Inspect(res.Receipt)
-					if rep.IsAttack && scenarios[j].LeiShen {
-						detected++
-					}
-				}
+				detected = knownDetections(scenarios, results, v.mod)
 			}
 			b.Logf("simplify=%s known attacks detected: %d/15", v.name, detected)
 		})

@@ -1,18 +1,18 @@
 // The serve benchmark: end-to-end HTTP read-path throughput against a
-// generated archive, old decode path vs zero-decode raw path. The
-// server runs in-process (httptest over a real TCP listener) and the
-// load is concurrent GET /reports pages and GET /reports/{txhash} point
-// lookups — the two queries a monitoring backend answers constantly.
+// generated archive. The server runs in-process (httptest over a real
+// TCP listener) and the load is concurrent GET /reports pages and GET
+// /reports/{txhash} point lookups — the two queries a monitoring
+// backend answers constantly.
 //
-// Before any timing, the harness proves the two paths serve
-// byte-identical bodies (pagination walk included) and that the raw
-// path allocates less per request; a violation is an error, not a bad
-// number, so `make bench-serve-smoke` doubles as a correctness gate.
+// Before any timing, the harness counts the heap allocations of a
+// /reports page and fails when they exceed the corpus shape's budget;
+// the count is the handler's, not the host's, so `make
+// bench-serve-smoke` is a gate on the zero-decode read path staying
+// zero-copy. Response bytes are pinned by internal/serve's golden
+// tests.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,24 +39,15 @@ type ServeResult struct {
 	Concurrency  int `json:"concurrency"`
 	GOMAXPROCS   int `json:"gomaxprocs"`
 	Rounds       int `json:"rounds"`
-	// Decode is the legacy path (archive.Select into Record structs,
-	// fresh json.Encoder per request); Raw is the zero-decode path
-	// (stored bytes into a pooled buffer). Bodies are asserted
-	// byte-identical before timing.
-	Decode ServePathResult `json:"decode"`
-	Raw    ServePathResult `json:"raw"`
-	// QPS ratios, raw over decode.
-	ListQPSSpeedup float64 `json:"list_qps_speedup"`
-	GetQPSSpeedup  float64 `json:"get_qps_speedup"`
-}
-
-// ServePathResult groups one path's figures per endpoint.
-type ServePathResult struct {
+	// ListAllocsBudget is the ceiling the pass enforces on
+	// List.AllocsPerReq.
+	ListAllocsBudget float64 `json:"list_allocs_budget"`
+	// List is GET /reports, Get is GET /reports/{hash}.
 	List ServeFigures `json:"reports_list"`
 	Get  ServeFigures `json:"reports_get"`
 }
 
-// ServeFigures is one endpoint × path measurement.
+// ServeFigures is one endpoint's measurement.
 type ServeFigures struct {
 	Requests     int     `json:"requests"`
 	QPS          float64 `json:"qps"`
@@ -66,15 +57,21 @@ type ServeFigures struct {
 	BodyBytes    int     `json:"body_bytes"`
 }
 
-// benchServe builds the archive corpus, verifies raw/decoded parity,
-// then measures both paths.
+// listAllocsBudget caps the heap allocations of one /reports page on
+// both corpus shapes: the path reads 7.0–7.2 per page at 100 reports
+// and at 1000, since the page lands in a pooled buffer.
+const listAllocsBudget = 8
+
+// benchServe builds the archive corpus, checks the list path's
+// allocation budget, then measures both endpoints.
 func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 	res := &ServeResult{
-		Records:     100_000,
-		ListLimit:   1000,
-		Concurrency: 4,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Rounds:      rounds,
+		Records:          100_000,
+		ListLimit:        1000,
+		ListAllocsBudget: listAllocsBudget,
+		Concurrency:      4,
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		Rounds:           rounds,
 	}
 	listReqs, getReqs := 400, 4000
 	if smoke {
@@ -96,7 +93,7 @@ func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	if _, _, err := populate(dir, shape, payload, true); err != nil {
+	if _, _, err := populate(dir, shape, payload, shape.SyncEvery); err != nil {
 		return nil, err
 	}
 	arc, err := archive.Open(dir, archive.Options{})
@@ -105,47 +102,32 @@ func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 	}
 	defer arc.Close()
 
-	rawH := serveHandler(arc, false)
-	decH := serveHandler(arc, true)
+	// The /reports endpoints never touch the chain or detector, so none
+	// are attached.
+	s := serve.New(nil, nil)
+	s.SetArchive(arc)
+	h := s.Handler()
 
 	listURLs := benchListURLs(res)
 	getURLs := benchGetURLs(res)
-	if err := assertSameBodies(rawH, decH, res); err != nil {
-		return nil, err
+
+	// Allocation profile, handler-level (serial, body discarded): a list
+	// page over budget means the zero-decode plumbing regressed into
+	// copying.
+	res.List.AllocsPerReq = allocsPerRequest(h, listURLs)
+	res.Get.AllocsPerReq = allocsPerRequest(h, getURLs)
+	if res.List.AllocsPerReq > res.ListAllocsBudget {
+		return nil, fmt.Errorf("/reports allocates %.2f/req, budget %.0f", res.List.AllocsPerReq, res.ListAllocsBudget)
 	}
 
-	// Allocation profile, handler-level (recorder, serial): the decode
-	// path must not beat the raw path — that would mean the zero-decode
-	// plumbing regressed into copying.
-	res.Raw.List.AllocsPerReq = allocsPerRequest(rawH, listURLs)
-	res.Decode.List.AllocsPerReq = allocsPerRequest(decH, listURLs)
-	res.Raw.Get.AllocsPerReq = allocsPerRequest(rawH, getURLs)
-	res.Decode.Get.AllocsPerReq = allocsPerRequest(decH, getURLs)
-	if res.Raw.List.AllocsPerReq >= res.Decode.List.AllocsPerReq {
-		return nil, fmt.Errorf("raw /reports path allocates %.1f/req, decode path %.1f/req — raw must allocate less",
-			res.Raw.List.AllocsPerReq, res.Decode.List.AllocsPerReq)
-	}
-
-	// Timed load over real HTTP, best round kept per endpoint × path.
+	// Timed load over real HTTP, best round kept per endpoint.
 	for round := 0; round < res.Rounds; round++ {
-		if err := loadRound(rawH, listURLs, listReqs, res.Concurrency, &res.Raw.List); err != nil {
+		if err := loadRound(h, listURLs, listReqs, res.Concurrency, &res.List); err != nil {
 			return nil, err
 		}
-		if err := loadRound(decH, listURLs, listReqs, res.Concurrency, &res.Decode.List); err != nil {
+		if err := loadRound(h, getURLs, getReqs, res.Concurrency, &res.Get); err != nil {
 			return nil, err
 		}
-		if err := loadRound(rawH, getURLs, getReqs, res.Concurrency, &res.Raw.Get); err != nil {
-			return nil, err
-		}
-		if err := loadRound(decH, getURLs, getReqs, res.Concurrency, &res.Decode.Get); err != nil {
-			return nil, err
-		}
-	}
-	if res.Decode.List.QPS > 0 {
-		res.ListQPSSpeedup = res.Raw.List.QPS / res.Decode.List.QPS
-	}
-	if res.Decode.Get.QPS > 0 {
-		res.GetQPSSpeedup = res.Raw.Get.QPS / res.Decode.Get.QPS
 	}
 	return res, nil
 }
@@ -157,16 +139,6 @@ func benchReportPayload() []byte {
 		`"block":0,"success":true,"isFlashLoanTx":true,"isAttack":false,` +
 		`"loans":[{"provider":"Uniswap","token":"0x00","amount":"40000000000000"}],` +
 		`"matches":[],"trades":12,"transfers":31,"elapsedMicros":184}`)
-}
-
-// serveHandler wraps arc in a Server on the chosen read path. The
-// /reports endpoints never touch the chain or detector, so none are
-// attached.
-func serveHandler(arc *archive.Archive, decode bool) http.Handler {
-	s := serve.New(nil, nil)
-	s.DecodeServing = decode
-	s.SetArchive(arc)
-	return s.Handler()
 }
 
 // benchTxHash mirrors populate's hash scheme, so point lookups can be
@@ -200,67 +172,6 @@ func benchGetURLs(res *ServeResult) []string {
 	return urls
 }
 
-// assertSameBodies proves the raw and decode paths serve byte-identical
-// bodies: every bench URL, a full pagination walk, an empty page and
-// the error shapes.
-func assertSameBodies(rawH, decH http.Handler, res *ServeResult) error {
-	urls := append(benchListURLs(res), benchGetURLs(res)...)
-	urls = append(urls,
-		"/reports?from=999999999",                       // empty page
-		"/reports/"+types.Hash{}.String(),               // miss -> 404
-		fmt.Sprintf("/reports?limit=%d", res.ListLimit), // first page
-	)
-	for _, u := range urls {
-		if err := compareBodies(rawH, decH, u); err != nil {
-			return err
-		}
-	}
-	// Pagination walk: follow nextAfter on the raw path, replaying every
-	// cursor against the decode path.
-	next := fmt.Sprintf("/reports?verdict=flashloan&limit=%d", res.ListLimit)
-	for pages := 0; next != "" && pages < 8; pages++ {
-		body, err := compareAndReturn(rawH, decH, next)
-		if err != nil {
-			return err
-		}
-		next = nextPageURL(body, res.ListLimit)
-	}
-	return nil
-}
-
-func compareBodies(rawH, decH http.Handler, url string) error {
-	_, err := compareAndReturn(rawH, decH, url)
-	return err
-}
-
-func compareAndReturn(rawH, decH http.Handler, url string) ([]byte, error) {
-	rawRec := httptest.NewRecorder()
-	rawH.ServeHTTP(rawRec, httptest.NewRequest("GET", url, nil))
-	decRec := httptest.NewRecorder()
-	decH.ServeHTTP(decRec, httptest.NewRequest("GET", url, nil))
-	if rawRec.Code != decRec.Code {
-		return nil, fmt.Errorf("GET %s: raw status %d, decode status %d", url, rawRec.Code, decRec.Code)
-	}
-	rawBody, decBody := rawRec.Body.Bytes(), decRec.Body.Bytes()
-	if !bytes.Equal(rawBody, decBody) {
-		return nil, fmt.Errorf("GET %s: raw and decode bodies differ (%d vs %d bytes)", url, len(rawBody), len(decBody))
-	}
-	return rawBody, nil
-}
-
-// nextPageURL extracts the nextAfter cursor from a /reports body,
-// returning "" on the last page.
-func nextPageURL(body []byte, limit int) string {
-	var envelope struct {
-		More      bool   `json:"more"`
-		NextAfter string `json:"nextAfter"`
-	}
-	if err := json.Unmarshal(body, &envelope); err != nil || !envelope.More {
-		return ""
-	}
-	return fmt.Sprintf("/reports?verdict=flashloan&limit=%d&after=%s", limit, envelope.NextAfter)
-}
-
 // discardResponseWriter is a reusable ResponseWriter that swallows the
 // body, so allocsPerRequest counts the handler's allocations, not a
 // fresh recorder's buffer growth per request.
@@ -272,7 +183,9 @@ func (d *discardResponseWriter) WriteHeader(int)             {}
 
 // allocsPerRequest measures steady-state heap allocations per request,
 // driving the handler directly (no network, requests pre-built, body
-// discarded) so the figure isolates the handler + encoding path.
+// discarded) so the figure isolates the handler + encoding path. Every
+// request is served once first, so the archive's record cache and the
+// buffer pool are warm, as in a long-running server.
 func allocsPerRequest(h http.Handler, urls []string) float64 {
 	const n = 64
 	reqs := make([]*http.Request, len(urls))
@@ -280,8 +193,8 @@ func allocsPerRequest(h http.Handler, urls []string) float64 {
 		reqs[i] = httptest.NewRequest("GET", u, nil)
 	}
 	w := &discardResponseWriter{h: make(http.Header, 4)}
-	for i := 0; i < 8; i++ {
-		h.ServeHTTP(w, reqs[i%len(reqs)])
+	for _, r := range reqs {
+		h.ServeHTTP(w, r)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -6,12 +6,15 @@ import (
 	"go/types"
 )
 
-// DetFlow is the flow-sensitive successor to detorder: instead of
+// DetFlow is the flow-sensitive complement to detorder: instead of
 // judging each map-range body in isolation, it tracks map-iteration
 // order as a taint through the function's CFG and reports only when
 // tainted data actually reaches output — a return value, a channel
 // send, or a formatting/encoding/IO call — without passing a sort
-// barrier first.
+// barrier first. It has no heap-store or call-argument sinks (an
+// append to a field, a global or through a pointer, a store into a
+// slice parameter, a callback called with the key), and no check for
+// a loop exit that depends on the first element; detorder flags those.
 //
 // Sources: the key/value variables of a range over a map (or over an
 // already-tainted sequence), and maps.Keys/maps.Values results.

@@ -33,7 +33,7 @@ import (
 // "checkpoint framed but NOT yet durable" primitive, which the
 // follower's batched writer relies on — must be matched (same function
 // for locals, package-wide for fields, with the same escape rules) by a
-// checked Sync, AppendCheckpoint or Close on the same receiver, since a
+// checked Sync or Close on the same receiver, since a
 // deferred checkpoint that is never followed by a sync is a checkpoint
 // that silently never becomes observable.
 //
@@ -67,12 +67,11 @@ var walWriteMethods = map[string]bool{
 	"AppendCheckpointDeferred": true,
 }
 
-// walSyncMethods promote deferred writes: an explicit Sync, a syncing
-// checkpoint append, or a flush-and-release Close.
+// walSyncMethods promote deferred writes: an explicit Sync or a
+// flush-and-release Close.
 var walSyncMethods = map[string]bool{
-	"Sync":             true,
-	"AppendCheckpoint": true,
-	"Close":            true,
+	"Sync":  true,
+	"Close": true,
 }
 
 func runSyncCheck(pass *Pass) {

@@ -45,3 +45,48 @@ func Any(m map[string]int) string {
 	}
 	return ""
 }
+
+// The cases below store or pass the iteration element somewhere that
+// outlives the loop. detflow has no heap-store or call-argument sinks,
+// so detorder is the analyzer that catches them.
+
+type set struct{ list []string }
+
+// Collect appends keys to a receiver field.
+func (s *set) Collect(m map[string]int) {
+	for k := range m { // want "assigns to outer state; last iteration wins nondeterministically"
+		s.list = append(s.list, k)
+	}
+}
+
+var registry []string
+
+// Register appends keys to a package-level slice.
+func Register(m map[string]int) {
+	for k := range m { // want "appends map elements without sorting"
+		registry = append(registry, k)
+	}
+}
+
+// KeysInto appends keys through a pointer parameter.
+func KeysInto(m map[string]int, out *[]string) {
+	for k := range m { // want "assigns to outer state; last iteration wins nondeterministically"
+		*out = append(*out, k)
+	}
+}
+
+// Fill stores keys into a slice parameter by position.
+func Fill(m map[string]int, out []string) {
+	i := 0
+	for k := range m { // want "writes a map/slice entry not keyed by the iteration variable"
+		out[i] = k
+		i++
+	}
+}
+
+// Visit hands each key to a callback.
+func Visit(m map[string]int, f func(string)) {
+	for k := range m { // want "statement with side effects inside map iteration"
+		f(k)
+	}
+}

@@ -93,7 +93,6 @@ func writeVfsUnsynced(f vfsFile, buf []byte) error {
 type wal struct{}
 
 func (*wal) AppendCheckpointDeferred(block uint64) error { return nil }
-func (*wal) AppendCheckpoint(block uint64) error         { return nil }
 func (*wal) Sync() error                                 { return nil }
 func (*wal) Close() error                                { return nil }
 
@@ -119,4 +118,20 @@ func (j *journal) syncDiscarded() {
 func localDeferredNoSync(block uint64) error {
 	w := &wal{}
 	return w.AppendCheckpointDeferred(block) // want "w takes a deferred checkpoint without a checked Sync in this function"
+}
+
+// syncingWAL adds a combined append-and-sync checkpoint method. It does
+// not promote a deferred checkpoint: only a checked Sync or Close does.
+type syncingWAL struct{ wal }
+
+func (*syncingWAL) AppendCheckpoint(block uint64) error { return nil }
+
+// deferredThenSyncingAppend follows a deferred checkpoint with the
+// combined append, not a Sync.
+func deferredThenSyncingAppend(block uint64) error {
+	w := &syncingWAL{}
+	if err := w.AppendCheckpointDeferred(block); err != nil { // want "w takes a deferred checkpoint without a checked Sync in this function"
+		return err
+	}
+	return w.AppendCheckpoint(block + 1)
 }

@@ -119,7 +119,6 @@ func truncateVfsAndClose(f vfsFile, n int64) error {
 type wal struct{}
 
 func (*wal) AppendCheckpointDeferred(block uint64) error { return nil }
-func (*wal) AppendCheckpoint(block uint64) error         { return nil }
 func (*wal) Sync() error                                 { return nil }
 func (*wal) Close() error                                { return nil }
 
@@ -146,14 +145,4 @@ func deferredThenSynced(block uint64) error {
 		return err
 	}
 	return w.Sync()
-}
-
-// deferredThenSyncingAppend promotes a deferred checkpoint with a later
-// syncing append, which flushes everything before it.
-func deferredThenSyncingAppend(block uint64) error {
-	w := &wal{}
-	if err := w.AppendCheckpointDeferred(block); err != nil {
-		return err
-	}
-	return w.AppendCheckpoint(block + 1)
 }

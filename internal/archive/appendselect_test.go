@@ -82,14 +82,17 @@ func buildSelectWorld(tb testing.TB, rng *rand.Rand, shape selectShape) *selectW
 	return w
 }
 
-// want answers q from the model: the matching reports, the more flag,
-// and ok=false for an unknown cursor.
-func (w *selectWorld) want(q Query) (page []modelRec, more, ok bool) {
+// modelSelect answers q from the appended reports alone — a linear
+// filter over recs in append order, independent of the archive's
+// fences, blooms, gather and run reader: the matching reports, the more
+// flag, and ok=false for an unknown cursor. A cursor hash appended more
+// than once resolves to its latest copy, as the archive's does.
+func modelSelect(recs []modelRec, q Query) (page []modelRec, more, ok bool) {
 	start := 0
 	if !q.After.IsZero() {
 		start = -1
-		for i := range w.recs {
-			if w.recs[i].hash == q.After {
+		for i := range recs {
+			if recs[i].hash == q.After {
 				start = i + 1
 			}
 		}
@@ -97,7 +100,7 @@ func (w *selectWorld) want(q Query) (page []modelRec, more, ok bool) {
 			return nil, false, false
 		}
 	}
-	for _, r := range w.recs[start:] {
+	for _, r := range recs[start:] {
 		if r.block < q.FromBlock || (q.ToBlock != 0 && r.block > q.ToBlock) || r.flags&q.Flags != q.Flags {
 			continue
 		}
@@ -109,12 +112,45 @@ func (w *selectWorld) want(q Query) (page []modelRec, more, ok bool) {
 	return page, false, true
 }
 
+// requireSelectMatchesModel runs q through SelectRaw and Select and
+// fails unless each returns exactly modelSelect's page — the same
+// reports in order, with the same metadata and bytes, and the same more
+// flag — or ErrUnknownCursor where the model holds no such cursor. It
+// returns the model's page for cursor walks.
+func requireSelectMatchesModel(tb testing.TB, a *Archive, recs []modelRec, q Query, ctx string) []modelRec {
+	tb.Helper()
+	want, more, ok := modelSelect(recs, q)
+	raws, rawMore, rawErr := a.SelectRaw(q)
+	decs, decMore, decErr := a.Select(q)
+	if !ok {
+		if !errors.Is(rawErr, ErrUnknownCursor) || !errors.Is(decErr, ErrUnknownCursor) {
+			tb.Fatalf("%s: unknown cursor gave SelectRaw err %v, Select err %v, want ErrUnknownCursor", ctx, rawErr, decErr)
+		}
+		return nil
+	}
+	if rawErr != nil || rawMore != more || len(raws) != len(want) {
+		tb.Fatalf("%s: SelectRaw %d recs more=%v err=%v, want %d more=%v", ctx, len(raws), rawMore, rawErr, len(want), more)
+	}
+	if decErr != nil || decMore != more || len(decs) != len(want) {
+		tb.Fatalf("%s: Select %d recs more=%v err=%v, want %d more=%v", ctx, len(decs), decMore, decErr, len(want), more)
+	}
+	for i, r := range want {
+		if raws[i].TxHash != r.hash || raws[i].Block != r.block || raws[i].Flags != r.flags || !bytes.Equal(raws[i].Report, r.report) {
+			tb.Fatalf("%s: SelectRaw record %d = %+v, want %s", ctx, i, raws[i], r.hash)
+		}
+		if decs[i].Kind != KindReport || decs[i].TxHash != r.hash || decs[i].Block != r.block || decs[i].Flags != r.flags || !bytes.Equal(decs[i].Report, r.report) {
+			tb.Fatalf("%s: Select record %d = %+v, want %s", ctx, i, decs[i], r.hash)
+		}
+	}
+	return want
+}
+
 // check runs q through AppendSelect into a dst that arrives non-empty
 // with random spare capacity, and compares the result with the model
 // and with a per-frame reference: GetRaw of each matching hash (the
 // cache is off, so each one is its own frame read), joined by commas.
-// SelectRaw and Select must return the same documents. It returns the
-// page for cursor walks.
+// SelectRaw and Select must return the model's documents. It returns
+// the page for cursor walks.
 func (w *selectWorld) check(tb testing.TB, rng *rand.Rand, q Query, ctx string) SelectPage {
 	tb.Helper()
 	prefix := make([]byte, rng.Intn(40))
@@ -123,7 +159,7 @@ func (w *selectWorld) check(tb testing.TB, rng *rand.Rand, q Query, ctx string) 
 	copy(dst, prefix)
 
 	got, page, err := w.arc.AppendSelect(dst, q)
-	recs, more, ok := w.want(q)
+	recs, more, ok := modelSelect(w.recs, q)
 	if !ok {
 		if !errors.Is(err, ErrUnknownCursor) {
 			tb.Fatalf("%s: unknown cursor gave err %v, want ErrUnknownCursor", ctx, err)
@@ -162,22 +198,7 @@ func (w *selectWorld) check(tb testing.TB, rng *rand.Rand, q Query, ctx string) 
 		tb.Fatalf("%s: page.Last %s, want %s", ctx, page.Last, recs[len(recs)-1].hash)
 	}
 
-	raws, rawMore, err := w.arc.SelectRaw(q)
-	if err != nil || rawMore != more || len(raws) != len(recs) {
-		tb.Fatalf("%s: SelectRaw %d recs more=%v err=%v, want %d more=%v", ctx, len(raws), rawMore, err, len(recs), more)
-	}
-	decs, decMore, err := w.arc.Select(q)
-	if err != nil || decMore != more || len(decs) != len(recs) {
-		tb.Fatalf("%s: Select %d recs more=%v err=%v, want %d more=%v", ctx, len(decs), decMore, err, len(recs), more)
-	}
-	for i, r := range recs {
-		if raws[i].TxHash != r.hash || raws[i].Block != r.block || raws[i].Flags != r.flags || !bytes.Equal(raws[i].Report, r.report) {
-			tb.Fatalf("%s: SelectRaw record %d = %+v, want %s", ctx, i, raws[i], r.hash)
-		}
-		if decs[i].TxHash != r.hash || !bytes.Equal(decs[i].Report, r.report) {
-			tb.Fatalf("%s: Select record %d = %s, want %s", ctx, i, decs[i].TxHash, r.hash)
-		}
-	}
+	requireSelectMatchesModel(tb, w.arc, w.recs, q, ctx)
 	return page
 }
 

@@ -72,10 +72,6 @@ type Options struct {
 	// benchmark and repair knob — the resulting in-memory index is
 	// identical to a sidecar-assisted open's.
 	NoSidecars bool
-	// NoPrune disables segment fence/bloom pruning in Select and Get —
-	// the linear reference path regression tests and benchmarks compare
-	// the pruned path against.
-	NoPrune bool
 }
 
 func (o Options) segmentBytes() int64 {
@@ -586,23 +582,14 @@ func (a *Archive) AppendReport(rec *Record) error {
 	return a.appendLocked(rec)
 }
 
-// AppendCheckpoint appends a progress checkpoint and syncs, making every
-// record appended so far durable — the one fsync per block.
-func (a *Archive) AppendCheckpoint(cp Checkpoint) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.appendCheckpointLocked(cp); err != nil {
-		return err
-	}
-	return a.syncLocked()
-}
-
 // AppendCheckpointDeferred appends a progress checkpoint WITHOUT
-// syncing — the group-commit building block. The record is framed into
-// the log immediately, but the checkpoint stays invisible to
-// Checkpoint and Checkpoints until the next successful Sync, so a
-// reader can never observe a checkpoint whose records might still be
-// lost to a crash. Callers batch appends and issue one Sync per batch.
+// syncing — the archive's one checkpoint protocol is this call followed
+// by Sync. The record is framed into the log immediately, but the
+// checkpoint stays invisible to Checkpoint and Checkpoints until the
+// next successful Sync, so a reader can never observe a checkpoint
+// whose records might still be lost to a crash. Callers sync after
+// every checkpoint or once per batch of them (group commit); each step
+// is safe to retry.
 func (a *Archive) AppendCheckpointDeferred(cp Checkpoint) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -901,13 +888,11 @@ func (a *Archive) lookupTxLocked(h types.Hash) (int, bool) {
 		if seg.sealed == nil {
 			continue
 		}
-		if !a.opts.NoPrune {
-			if !seg.sealed.bloomBuilt {
-				a.buildBloomLocked(s)
-			}
-			if !seg.sealed.bloom.mayContain(h) {
-				continue
-			}
+		if !seg.sealed.bloomBuilt {
+			a.buildBloomLocked(s)
+		}
+		if !seg.sealed.bloom.mayContain(h) {
+			continue
 		}
 		if i, ok := a.sealedLookupLocked(s, h); ok {
 			return i, true

@@ -41,6 +41,16 @@ func sampleCheckpoint(block uint64) Checkpoint {
 	return Checkpoint{Block: block, Digest: types.HashFromData([]byte("blk"), seed[:])}
 }
 
+// syncedCheckpoint is the per-block durability step: a deferred
+// checkpoint, then the Sync that makes it and every record before it
+// durable and observable.
+func syncedCheckpoint(a *Archive, cp Checkpoint) error {
+	if err := a.AppendCheckpointDeferred(cp); err != nil {
+		return err
+	}
+	return a.Sync()
+}
+
 // buildArchive appends n sample records (two per block, with a
 // checkpoint after each block) and returns the still-open archive.
 func buildArchive(t *testing.T, dir string, n int, opts Options) *Archive {
@@ -54,7 +64,7 @@ func buildArchive(t *testing.T, dir string, n int, opts Options) *Archive {
 		rec := sampleRecord(i)
 		if rec.Block != lastBlock {
 			if lastBlock != 0 {
-				if err := a.AppendCheckpoint(sampleCheckpoint(lastBlock)); err != nil {
+				if err := syncedCheckpoint(a, sampleCheckpoint(lastBlock)); err != nil {
 					t.Fatalf("checkpoint: %v", err)
 				}
 			}
@@ -65,7 +75,7 @@ func buildArchive(t *testing.T, dir string, n int, opts Options) *Archive {
 		}
 	}
 	if lastBlock != 0 {
-		if err := a.AppendCheckpoint(sampleCheckpoint(lastBlock)); err != nil {
+		if err := syncedCheckpoint(a, sampleCheckpoint(lastBlock)); err != nil {
 			t.Fatalf("final checkpoint: %v", err)
 		}
 	}
@@ -281,7 +291,7 @@ func TestAppendOrderEnforced(t *testing.T) {
 	if err := a.AppendReport(back); err == nil {
 		t.Fatal("append accepted a block going backwards")
 	}
-	if err := a.AppendCheckpoint(Checkpoint{Block: 4}); err == nil {
+	if err := a.AppendCheckpointDeferred(Checkpoint{Block: 4}); err == nil {
 		t.Fatal("checkpoint accepted a block going backwards")
 	}
 }
@@ -396,7 +406,7 @@ func TestRollbackAbove(t *testing.T) {
 		}
 		if rec.Block != lastBlock {
 			if lastBlock != 0 {
-				if err := b.AppendCheckpoint(sampleCheckpoint(lastBlock)); err != nil {
+				if err := syncedCheckpoint(b, sampleCheckpoint(lastBlock)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -406,7 +416,7 @@ func TestRollbackAbove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AppendCheckpoint(sampleCheckpoint(lastBlock)); err != nil {
+	if err := syncedCheckpoint(b, sampleCheckpoint(lastBlock)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {

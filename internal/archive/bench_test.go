@@ -99,7 +99,7 @@ func reopenDir(b *testing.B, n int) string {
 			b.Fatal(err)
 		}
 		if (i+1)%512 == 0 {
-			if err := a.AppendCheckpoint(sampleCheckpoint(sampleRecord(i).Block)); err != nil {
+			if err := syncedCheckpoint(a, sampleCheckpoint(sampleRecord(i).Block)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,10 +19,9 @@ import (
 
 // runWorkload appends n sample records with a checkpoint per block,
 // calling retry around every fallible operation. Checkpoints go through
-// the deferred-append + Sync protocol the follower uses: unlike the
-// combined AppendCheckpoint, each step is idempotent under retry (a
-// failed append leaves nothing buffered, a failed sync promotes
-// nothing). retry is the test's policy knob: the unfaulted baseline
+// the archive's one checkpoint protocol, deferred append + Sync, which
+// the follower uses: each step is idempotent under retry (a failed
+// append leaves nothing buffered, a failed sync promotes nothing). retry is the test's policy knob: the unfaulted baseline
 // passes a run-once.
 func runWorkload(t *testing.T, a *Archive, n int, retry func(op func() error) error) {
 	t.Helper()

@@ -174,11 +174,7 @@ func (a *Archive) appendSelectLocked(dst []byte, q *Query) ([]byte, SelectPage, 
 		minIdx = i + 1
 	}
 	var page SelectPage
-	if a.opts.NoPrune {
-		a.matched, page.More = a.gatherLinearLocked(a.matched[:0], q, minIdx)
-	} else {
-		a.matched, page.More = a.gatherPrunedLocked(a.matched[:0], q, minIdx)
-	}
+	a.matched, page.More = a.gatherPrunedLocked(a.matched[:0], q, minIdx)
 	dst, err := a.appendRunsLocked(dst, a.matched)
 	if err != nil {
 		return dst, SelectPage{}, err
@@ -234,31 +230,6 @@ func (a *Archive) gatherPrunedLocked(matched []int, q *Query, minIdx int) ([]int
 			}
 			matched = append(matched, i)
 		}
-	}
-	return matched, false
-}
-
-// gatherLinearLocked is the NoPrune reference gather: one binary search
-// for the range start, then a linear walk over every frame.
-func (a *Archive) gatherLinearLocked(matched []int, q *Query, minIdx int) ([]int, bool) {
-	start := sort.Search(len(a.frames), func(i int) bool {
-		return a.frames[i].block >= q.FromBlock
-	})
-	if start < minIdx {
-		start = minIdx
-	}
-	for i := start; i < len(a.frames); i++ {
-		f := &a.frames[i]
-		if q.ToBlock != 0 && f.block > q.ToBlock {
-			break
-		}
-		if f.kind != KindReport || f.flags&q.Flags != q.Flags {
-			continue
-		}
-		if q.Limit > 0 && len(matched) == q.Limit {
-			return matched, true
-		}
-		matched = append(matched, i)
 	}
 	return matched, false
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSelectRawMatchesSelect pins the zero-decode path's contract on
-// randomized archives: for any query, SelectRaw returns exactly the
-// frames Select decodes — same order, same more flag, and Report bytes
-// identical to the stored JSON — on both the pruned and the NoPrune
-// path, including a full pagination walk.
+// randomized reopened archives: for any query, SelectRaw and Select
+// return exactly the model's page (modelSelect over the appended
+// reports) — same order, same more flag, and Report bytes identical to
+// the stored JSON — including a full pagination walk.
 func TestSelectRawMatchesSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
@@ -22,6 +22,7 @@ func TestSelectRawMatchesSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var recs []modelRec
 		block := uint64(1)
 		n := 40 + rng.Intn(80)
 		for i := 0; i < n; i++ {
@@ -37,19 +38,22 @@ func TestSelectRawMatchesSelect(t *testing.T) {
 			case 2:
 				flags = FlagFlashLoan | FlagAttack | FlagSuppressed
 			}
-			rec := &Record{
-				Kind:   KindReport,
-				TxHash: types.HashFromData([]byte("raw"), []byte{byte(trial), byte(i), byte(i >> 8)}),
-				Block:  block,
-				Flags:  flags,
-				Report: []byte(fmt.Sprintf(`{"i":%d,"trial":%d}`, i, trial)),
+			r := modelRec{
+				hash:   types.HashFromData([]byte("raw"), []byte{byte(trial), byte(i), byte(i >> 8)}),
+				block:  block,
+				flags:  flags,
+				report: []byte(fmt.Sprintf(`{"i":%d,"trial":%d}`, i, trial)),
 			}
-			if err := a.AppendReport(rec); err != nil {
+			if err := a.AppendReport(&Record{Kind: KindReport, TxHash: r.hash, Block: r.block, Flags: r.flags, Report: r.report}); err != nil {
 				t.Fatal(err)
 			}
+			recs = append(recs, r)
 			// Interleaved checkpoints give the run coalescer gaps to skip.
 			if rng.Intn(8) == 0 {
-				if err := a.AppendCheckpoint(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
+				if err := a.AppendCheckpointDeferred(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Sync(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -58,72 +62,43 @@ func TestSelectRawMatchesSelect(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, noPrune := range []bool{false, true} {
-			arc, err := Open(dir, Options{SegmentBytes: 256, NoPrune: noPrune})
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries := []Query{
-				{},
-				{Flags: FlagAttack},
-				{Flags: FlagAttack | FlagSuppressed},
-				{FromBlock: block / 2},
-				{ToBlock: block / 2},
-				{FromBlock: block + 10},
-				{After: types.HashFromData([]byte("no-such-record"))},
-			}
-			for q := 0; q < 12; q++ {
-				queries = append(queries, Query{
-					FromBlock: uint64(rng.Intn(int(block) + 2)),
-					ToBlock:   uint64(rng.Intn(int(block) + 2)),
-					Flags:     uint8(rng.Intn(2)) * FlagAttack,
-					Limit:     rng.Intn(9),
-				})
-			}
-			for qi, q := range queries {
-				requireRawMatchesSelect(t, arc, q, fmt.Sprintf("trial %d noPrune %v query %d", trial, noPrune, qi))
-			}
+		arc, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := []Query{
+			{},
+			{Flags: FlagAttack},
+			{Flags: FlagAttack | FlagSuppressed},
+			{FromBlock: block / 2},
+			{ToBlock: block / 2},
+			{FromBlock: block + 10},
+			{After: types.HashFromData([]byte("no-such-record"))},
+		}
+		for q := 0; q < 12; q++ {
+			queries = append(queries, Query{
+				FromBlock: uint64(rng.Intn(int(block) + 2)),
+				ToBlock:   uint64(rng.Intn(int(block) + 2)),
+				Flags:     uint8(rng.Intn(2)) * FlagAttack,
+				Limit:     rng.Intn(9),
+			})
+		}
+		for qi, q := range queries {
+			requireSelectMatchesModel(t, arc, recs, q, fmt.Sprintf("trial %d query %d", trial, qi))
+		}
 
-			// Pagination walk with a small limit: the raw cursor chain must
-			// visit the exact pages the decoded cursor chain visits.
-			walk := Query{Flags: FlagFlashLoan, Limit: 3}
-			for page := 0; page < 100; page++ {
-				raws := requireRawMatchesSelect(t, arc, walk, fmt.Sprintf("trial %d noPrune %v page %d", trial, noPrune, page))
-				if len(raws) == 0 {
-					break
-				}
-				walk.After = raws[len(raws)-1].TxHash
+		// Pagination walk with a small limit: the cursor chain must visit
+		// the model's pages.
+		walk := Query{Flags: FlagFlashLoan, Limit: 3}
+		for page := 0; page < 100; page++ {
+			got := requireSelectMatchesModel(t, arc, recs, walk, fmt.Sprintf("trial %d page %d", trial, page))
+			if len(got) == 0 {
+				break
 			}
-			arc.Close()
+			walk.After = got[len(got)-1].hash
 		}
+		arc.Close()
 	}
-}
-
-// requireRawMatchesSelect runs q through both read paths and fails the
-// test on any divergence, returning the raw page for cursor walks.
-func requireRawMatchesSelect(t *testing.T, a *Archive, q Query, ctx string) []RawRecord {
-	t.Helper()
-	raws, moreR, errR := a.SelectRaw(q)
-	recs, moreD, errD := a.Select(q)
-	if (errR == nil) != (errD == nil) {
-		t.Fatalf("%s: error mismatch: raw %v, decoded %v", ctx, errR, errD)
-	}
-	if errR != nil {
-		return nil
-	}
-	if moreR != moreD || len(raws) != len(recs) {
-		t.Fatalf("%s: raw (%d recs, more=%v) != decoded (%d recs, more=%v)",
-			ctx, len(raws), moreR, len(recs), moreD)
-	}
-	for i := range raws {
-		if raws[i].TxHash != recs[i].TxHash || raws[i].Block != recs[i].Block || raws[i].Flags != recs[i].Flags {
-			t.Fatalf("%s record %d: metadata mismatch: raw %+v vs decoded %+v", ctx, i, raws[i], recs[i])
-		}
-		if !bytes.Equal(raws[i].Report, recs[i].Report) {
-			t.Fatalf("%s record %d: report bytes differ:\nraw     %q\ndecoded %q", ctx, i, raws[i].Report, recs[i].Report)
-		}
-	}
-	return raws
 }
 
 // TestGetRawSharesCacheWithGet pins that the point lookups run on one

@@ -279,9 +279,10 @@ func TestSidecarIndexMatchesReplay(t *testing.T) {
 }
 
 // TestSelectPrunedMatchesLinear holds the fence/bloom-pruned Select to
-// the linear reference path on randomized archives: every query —
-// including full pagination walks via After — must return identical
-// records and identical more flags.
+// a linear filter over the appended reports (modelSelect) on randomized
+// reopened archives: every query — including full pagination walks via
+// After — must return the model's records and more flag, and pruning
+// must skip segments along the way.
 func TestSelectPrunedMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 4; trial++ {
@@ -290,6 +291,7 @@ func TestSelectPrunedMatchesLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var recs []modelRec
 		block := uint64(1)
 		n := 40 + rng.Intn(80)
 		for i := 0; i < n; i++ {
@@ -305,18 +307,21 @@ func TestSelectPrunedMatchesLinear(t *testing.T) {
 			case 2:
 				flags = FlagFlashLoan | FlagAttack | FlagSuppressed
 			}
-			rec := &Record{
-				Kind:   KindReport,
-				TxHash: types.HashFromData([]byte("sel"), []byte{byte(trial), byte(i), byte(i >> 8)}),
-				Block:  block,
-				Flags:  flags,
-				Report: []byte(fmt.Sprintf(`{"i":%d}`, i)),
+			r := modelRec{
+				hash:   types.HashFromData([]byte("sel"), []byte{byte(trial), byte(i), byte(i >> 8)}),
+				block:  block,
+				flags:  flags,
+				report: []byte(fmt.Sprintf(`{"i":%d}`, i)),
 			}
-			if err := a.AppendReport(rec); err != nil {
+			if err := a.AppendReport(&Record{Kind: KindReport, TxHash: r.hash, Block: r.block, Flags: r.flags, Report: r.report}); err != nil {
 				t.Fatal(err)
 			}
+			recs = append(recs, r)
 			if rng.Intn(8) == 0 {
-				if err := a.AppendCheckpoint(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
+				if err := a.AppendCheckpointDeferred(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Sync(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -325,11 +330,7 @@ func TestSelectPrunedMatchesLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		pruned, err := Open(copyDir(t, dir), Options{SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		linear, err := Open(copyDir(t, dir), Options{SegmentBytes: 256, NoPrune: true})
+		pruned, err := Open(dir, Options{SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,39 +352,23 @@ func TestSelectPrunedMatchesLinear(t *testing.T) {
 			})
 		}
 		for qi, q := range queries {
-			gotP, moreP, errP := pruned.Select(q)
-			gotL, moreL, errL := linear.Select(q)
-			if (errP == nil) != (errL == nil) {
-				t.Fatalf("trial %d query %d: error mismatch: pruned %v, linear %v", trial, qi, errP, errL)
-			}
-			if moreP != moreL || !reflect.DeepEqual(gotP, gotL) {
-				t.Fatalf("trial %d query %d %+v: pruned (%d recs, more=%v) != linear (%d recs, more=%v)",
-					trial, qi, q, len(gotP), moreP, len(gotL), moreL)
-			}
+			requireSelectMatchesModel(t, pruned, recs, q, fmt.Sprintf("trial %d query %d %+v", trial, qi, q))
 		}
 
 		// Pagination walk: page through everything with a small limit and
-		// check the two paths visit identical pages.
+		// check every page is the model's.
 		walk := Query{Flags: FlagFlashLoan, Limit: 3}
 		for page := 0; page < 100; page++ {
-			gotP, moreP, errP := pruned.Select(walk)
-			gotL, moreL, errL := linear.Select(walk)
-			if errP != nil || errL != nil {
-				t.Fatalf("trial %d page %d: pruned err %v, linear err %v", trial, page, errP, errL)
-			}
-			if moreP != moreL || !reflect.DeepEqual(gotP, gotL) {
-				t.Fatalf("trial %d page %d: pagination diverges", trial, page)
-			}
-			if !moreP {
+			got := requireSelectMatchesModel(t, pruned, recs, walk, fmt.Sprintf("trial %d page %d", trial, page))
+			if len(got) == 0 {
 				break
 			}
-			walk.After = gotP[len(gotP)-1].TxHash
+			walk.After = got[len(got)-1].hash
 		}
 		if st := pruned.Stats(); st.SelectSegmentsPruned == 0 {
 			t.Errorf("trial %d: pruned path never skipped a segment across %d queries", trial, len(queries))
 		}
 		pruned.Close()
-		linear.Close()
 	}
 }
 

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,7 +56,10 @@ func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []types.
 		}
 		hashes = append(hashes, rec.TxHash)
 		if rng.Intn(7) == 0 {
-			if err := arc.AppendCheckpoint(archive.Checkpoint{Block: block, Digest: rec.TxHash}); err != nil {
+			if err := arc.AppendCheckpointDeferred(archive.Checkpoint{Block: block, Digest: rec.TxHash}); err != nil {
+				t.Fatal(err)
+			}
+			if err := arc.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -63,14 +67,12 @@ func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []types.
 	return arc, hashes
 }
 
-// rawAndDecodedHandlers builds the two serving paths over one archive.
-func rawAndDecodedHandlers(arc *archive.Archive) (raw, decoded http.Handler) {
-	rs := New(nil, nil)
-	rs.SetArchive(arc)
-	ds := New(nil, nil)
-	ds.DecodeServing = true
-	ds.SetArchive(arc)
-	return rs.Handler(), ds.Handler()
+// reportsHandler serves arc's /reports endpoints. They never touch
+// the chain or the detector, so none are attached.
+func reportsHandler(arc *archive.Archive) http.Handler {
+	s := New(nil, nil)
+	s.SetArchive(arc)
+	return s.Handler()
 }
 
 // get drives one request through a handler and returns the response.
@@ -81,30 +83,36 @@ func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestRawServingMatchesDecoded is the serve-layer byte-identity pin: on
-// randomized archives, the pooled raw path and the legacy decode path
-// return the same status and byte-identical bodies for list queries,
-// full pagination walks, point lookups and the error shapes.
-func TestRawServingMatchesDecoded(t *testing.T) {
+// goldenReportsDigests pin the /reports and /reports/{hash} bytes on
+// rawTestArchive seeds 1–3: a SHA-256 over each response's status and
+// body, for every URL of TestReportsGoldens in order. They were recorded
+// while a second, decode-and-re-encode serving path still existed and
+// served the same bytes.
+var goldenReportsDigests = [...]string{
+	"41662a3113296794171790645ac3a17203ee0ed7a7d86db935cb2c3fb250617c",
+	"c424f37f5ea4dd55349e5705907dc9b5bae8c9d5866d6f74e15201701d12135d",
+	"ad541287890d447bee8fed0ea60fde444c6e330cc0c5ea110e6873edd60752fe",
+}
+
+// TestReportsGoldens is the serve-layer byte pin: on randomized
+// archives, list queries, the error shapes, point lookups and a full
+// limit=5 pagination walk must answer with the recorded statuses and
+// bodies, and every 200 must carry its Content-Length.
+func TestReportsGoldens(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		arc, hashes := rawTestArchive(t, seed, 60+int(seed)*17)
-		rawH, decH := rawAndDecodedHandlers(arc)
-
-		compare := func(url string) []byte {
+		h := reportsHandler(arc)
+		sum := sha256.New()
+		record := func(url string) []byte {
 			t.Helper()
-			rr, dr := get(t, rawH, url), get(t, decH, url)
-			if rr.Code != dr.Code {
-				t.Fatalf("GET %s: raw status %d, decoded status %d", url, rr.Code, dr.Code)
-			}
-			if !bytes.Equal(rr.Body.Bytes(), dr.Body.Bytes()) {
-				t.Fatalf("GET %s: bodies differ:\nraw     %s\ndecoded %s", url, rr.Body.Bytes(), dr.Body.Bytes())
-			}
-			// The raw path promises a sized response.
+			rr := get(t, h, url)
 			if rr.Code == http.StatusOK {
 				if cl := rr.Header().Get("Content-Length"); cl != strconv.Itoa(rr.Body.Len()) {
-					t.Fatalf("GET %s: raw Content-Length %q, body is %d bytes", url, cl, rr.Body.Len())
+					t.Fatalf("GET %s: Content-Length %q, body is %d bytes", url, cl, rr.Body.Len())
 				}
 			}
+			fmt.Fprintf(sum, "%d ", rr.Code)
+			sum.Write(rr.Body.Bytes())
 			return rr.Body.Bytes()
 		}
 
@@ -124,16 +132,15 @@ func TestRawServingMatchesDecoded(t *testing.T) {
 			"/reports/nothex",
 		}
 		for _, u := range urls {
-			compare(u)
+			record(u)
 		}
 
-		// Pagination walk on a small page size: every cursor the raw path
-		// hands out must replay identically on the decoded path.
+		// Pagination walk on a small page size, following every cursor
+		// the server hands out.
 		next := "/reports?limit=5"
 		for page := 0; next != "" && page < 200; page++ {
-			body := compare(next)
 			var env ReportsResponse
-			if err := json.Unmarshal(body, &env); err != nil {
+			if err := json.Unmarshal(record(next), &env); err != nil {
 				t.Fatalf("page %d unmarshal: %v", page, err)
 			}
 			if !env.More {
@@ -145,6 +152,9 @@ func TestRawServingMatchesDecoded(t *testing.T) {
 			}
 			next = "/reports?limit=5&after=" + env.NextAfter
 		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != goldenReportsDigests[seed-1] {
+			t.Errorf("seed %d: /reports digest %s, want %s", seed, got, goldenReportsDigests[seed-1])
+		}
 	}
 }
 
@@ -154,11 +164,11 @@ func TestRawServingMatchesDecoded(t *testing.T) {
 // well-formed JSON — an error object or an empty page — never a 500.
 func TestReportsPaginationEdges(t *testing.T) {
 	arc, hashes := rawTestArchive(t, 9, 40)
-	rawH, _ := rawAndDecodedHandlers(arc)
+	h := reportsHandler(arc)
 
 	check := func(url string, wantStatus int) map[string]any {
 		t.Helper()
-		rr := get(t, rawH, url)
+		rr := get(t, h, url)
 		if rr.Code != wantStatus {
 			t.Fatalf("GET %s: status %d, want %d (body %s)", url, rr.Code, wantStatus, rr.Body.Bytes())
 		}
@@ -205,8 +215,7 @@ func TestReportsPaginationEdges(t *testing.T) {
 // detector; every body must still be well-formed.
 func TestRawServingConcurrent(t *testing.T) {
 	arc, hashes := rawTestArchive(t, 5, 80)
-	rawH, _ := rawAndDecodedHandlers(arc)
-	srv := httptest.NewServer(rawH)
+	srv := httptest.NewServer(reportsHandler(arc))
 	defer srv.Close()
 
 	const workers = 8
@@ -253,8 +262,8 @@ func TestRawServingConcurrent(t *testing.T) {
 }
 
 // TestReportsServerFaultIs500 pins the /reports status mapping: a
-// stored frame that fails its checksum is the server's fault (500) on
-// both serving paths, while an unknown cursor stays a 400.
+// stored frame that fails its checksum is the server's fault (500),
+// while an unknown cursor stays a 400.
 func TestReportsServerFaultIs500(t *testing.T) {
 	fs := vfs.NewMemFS()
 	arc, err := archive.OpenFS(fs, "arc", archive.Options{})
@@ -279,11 +288,9 @@ func TestReportsServerFaultIs500(t *testing.T) {
 	if err := arc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	rawH, decH := rawAndDecodedHandlers(arc)
-	for _, h := range []http.Handler{rawH, decH} {
-		if rr := get(t, h, "/reports"); rr.Code != http.StatusOK {
-			t.Fatalf("intact archive: status %d (%s)", rr.Code, rr.Body.Bytes())
-		}
+	h := reportsHandler(arc)
+	if rr := get(t, h, "/reports"); rr.Code != http.StatusOK {
+		t.Fatalf("intact archive: status %d (%s)", rr.Code, rr.Body.Bytes())
 	}
 
 	// Flip the last byte of the last report's JSON through a second
@@ -311,21 +318,19 @@ func TestReportsServerFaultIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, h := range map[string]http.Handler{"raw": rawH, "decoded": decH} {
-		rr := get(t, h, "/reports")
-		if rr.Code != http.StatusInternalServerError {
-			t.Fatalf("%s: corrupt frame answered %d, want 500 (%s)", name, rr.Code, rr.Body.Bytes())
-		}
-		var v map[string]any
-		if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil || v["error"] == nil {
-			t.Fatalf("%s: corrupt frame reply %s is not a JSON error object", name, rr.Body.Bytes())
-		}
-		if rr := get(t, h, "/reports?after="+types.HashFromData([]byte("never stored")).String()); rr.Code != http.StatusBadRequest {
-			t.Fatalf("%s: unknown cursor answered %d, want 400", name, rr.Code)
-		}
-		// A page that stops before the damaged frame is still served.
-		if rr := get(t, h, "/reports?limit=2&after="+hashes[0].String()); rr.Code != http.StatusOK {
-			t.Fatalf("%s: intact page answered %d, want 200 (%s)", name, rr.Code, rr.Body.Bytes())
-		}
+	rr := get(t, h, "/reports")
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("corrupt frame answered %d, want 500 (%s)", rr.Code, rr.Body.Bytes())
+	}
+	var v map[string]any
+	if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil || v["error"] == nil {
+		t.Fatalf("corrupt frame reply %s is not a JSON error object", rr.Body.Bytes())
+	}
+	if rr := get(t, h, "/reports?after="+types.HashFromData([]byte("never stored")).String()); rr.Code != http.StatusBadRequest {
+		t.Fatalf("unknown cursor answered %d, want 400", rr.Code)
+	}
+	// A page that stops before the damaged frame is still served.
+	if rr := get(t, h, "/reports?limit=2&after="+hashes[0].String()); rr.Code != http.StatusOK {
+		t.Fatalf("intact page answered %d, want 200 (%s)", rr.Code, rr.Body.Bytes())
 	}
 }

@@ -186,15 +186,6 @@ func NewFollower(src BlockSource, det *Detector, arc *Archive, opts FollowerOpti
 	return follower.New(src, det, arc, opts)
 }
 
-// ArchiveQueryRaw selects stored reports without decoding them — the
-// zero-decode read path serving layers should prefer when they only
-// forward the stored JSON. Identical selection semantics (and
-// byte-identical report documents) to arc.Select; equivalent to
-// arc.SelectRaw(q).
-func ArchiveQueryRaw(arc *Archive, q ArchiveQuery) ([]ArchiveRawRecord, bool, error) {
-	return arc.SelectRaw(q)
-}
-
 // Runtime telemetry, re-exported from the internal/metrics subsystem.
 type (
 	// MetricsRegistry holds named series and renders them in Prometheus
