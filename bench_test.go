@@ -138,7 +138,7 @@ func BenchmarkTable5WildDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		detected := 0
 		for _, r := range c.Receipts {
-			if det.Inspect(r).IsAttack {
+			if det.Inspect(r, nil).IsAttack {
 				detected++
 			}
 		}
@@ -229,7 +229,7 @@ func BenchmarkDetectionLatency(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := c.Receipts[i%len(c.Receipts)]
-		det.Inspect(r)
+		det.Inspect(r, nil)
 	}
 }
 
@@ -243,7 +243,7 @@ func BenchmarkDetectionLatencyAttackTx(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !det.Inspect(res.Receipt).IsAttack {
+		if !det.Inspect(res.Receipt, nil).IsAttack {
 			b.Fatal("detection regressed")
 		}
 	}
@@ -253,7 +253,7 @@ func BenchmarkDetectionLatencyAttackTx(b *testing.B) {
 // Pipeline stage benches: where the per-transaction budget goes.
 // ---------------------------------------------------------------------
 
-// The stage benches time the interned stages InspectScratch runs, each
+// The stage benches time the interned stages Inspect runs, each
 // on a reused buffer the way a scanning worker reuses its arena.
 
 func BenchmarkStageExtract(b *testing.B) {
@@ -379,7 +379,7 @@ func thresholdDetections(c *world.Corpus, th core.Thresholds) (detected, trueDet
 		Simplify:   simplify.Options{WETH: c.Env.WETH},
 	})
 	for _, r := range c.Receipts {
-		if !det.Inspect(r).IsAttack {
+		if !det.Inspect(r, nil).IsAttack {
 			continue
 		}
 		detected++
@@ -461,7 +461,7 @@ func knownDetections(scenarios []attacks.Scenario, results []*attacks.Result, mo
 		opts := simplify.Options{WETH: res.Env.WETH}
 		mod(&opts)
 		det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{Simplify: opts})
-		if det.Inspect(res.Receipt).IsAttack && scenarios[j].LeiShen {
+		if det.Inspect(res.Receipt, nil).IsAttack && scenarios[j].LeiShen {
 			detected++
 		}
 	}
@@ -516,7 +516,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep := det.Inspect(res.Receipt)
+		rep := det.Inspect(res.Receipt, nil)
 		if !rep.HasPattern(leishen.PatternMBS) {
 			b.Fatal("regression")
 		}

@@ -571,13 +571,13 @@ func allocsPerTx(det *core.Detector, c *world.Corpus) float64 {
 	s := core.NewArena()
 	// Warm the arena to steady-state capacity.
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
+		det.Inspect(r, s)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
+		det.Inspect(r, s)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(len(c.Receipts))
@@ -595,7 +595,7 @@ func fastPathHitRate(det *core.Detector, c *world.Corpus) float64 {
 	uint256.ResetFastPathCounts()
 	uint256.SetFastPathCounting(true)
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
+		det.Inspect(r, s)
 	}
 	uint256.SetFastPathCounting(false)
 	hits, falls := uint256.FastPathCounts()

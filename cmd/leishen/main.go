@@ -346,12 +346,11 @@ func runScenario(name string, verbose bool) error {
 	det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{
 		Simplify: simplify.Options{WETH: res.Env.WETH},
 	})
-	rep := det.Inspect(res.Receipt)
 	fmt.Printf("%s — profit %s\n", sc.Describe(), res.ProfitToken.Format(res.Profit))
 	if verbose {
-		fmt.Println(rep.Detail())
+		fmt.Println(det.Trace(res.Receipt).Detail())
 	} else {
-		fmt.Println(rep.Summary())
+		fmt.Println(det.Inspect(res.Receipt, nil).Summary())
 	}
 	return nil
 }
@@ -367,7 +366,7 @@ func runScan(seed int64, scale, workers int, heuristic, verbose, jsonOut bool) e
 	}
 
 	var line []byte // -json output buffer, reused across reports
-	sum, err := scan.Each(det, c.Receipts, scan.Options{Workers: workers}, func(_ int, rep *core.Report) error {
+	sum, err := scan.Each(det, c.Receipts, scan.Options{Workers: workers}, func(i int, rep *core.Report) error {
 		if !rep.IsAttack {
 			return nil
 		}
@@ -381,7 +380,7 @@ func runScan(seed int64, scale, workers int, heuristic, verbose, jsonOut bool) e
 				return err
 			}
 		case verbose:
-			fmt.Println(rep.Detail())
+			fmt.Println(det.Trace(c.Receipts[i]).Detail())
 		default:
 			fmt.Println(rep.Summary())
 		}

@@ -24,7 +24,7 @@ func ExampleNewDetector() {
 	detector := leishen.NewDetector(result.Env.Chain, result.Env.Registry, leishen.Options{
 		Simplify: leishen.SimplifyOptions{WETH: result.Env.WETH},
 	})
-	report := detector.Inspect(result.Receipt)
+	report := detector.Inspect(result.Receipt, nil)
 
 	fmt.Println(report.Summary())
 	fmt.Println("SBS detected:", report.HasPattern(leishen.PatternSBS))

@@ -43,7 +43,7 @@ func main() {
 	det := leishen.NewDetector(result.Env.Chain, result.Env.Registry, leishen.Options{
 		Simplify: leishen.SimplifyOptions{WETH: result.Env.WETH},
 	})
-	rep := det.Inspect(result.Receipt)
+	rep := det.Trace(result.Receipt)
 
 	fmt.Println("== LeiShen report ==")
 	fmt.Println(rep.Detail())

@@ -38,12 +38,11 @@ func run() error {
 
 	// Scan and keep the most profitable detection.
 	prices := pricing.NewDefaultTable()
-	var best *leishen.Report
+	var bestTx *leishen.Receipt
 	bestUSD := 0.0
 	detected := 0
 	for _, r := range c.Receipts {
-		rep := det.Inspect(r)
-		if !rep.IsAttack {
+		if !det.Inspect(r, nil).IsAttack {
 			continue
 		}
 		detected++
@@ -51,12 +50,15 @@ func run() error {
 		usd := prices.ValueUSD(truth.ProfitToken, truth.Profit, truth.Time)
 		if usd > bestUSD {
 			bestUSD = usd
-			best = rep
+			bestTx = r
 		}
 	}
-	if best == nil {
+	if bestTx == nil {
 		return fmt.Errorf("no attacks detected")
 	}
+	// Trace re-inspects the winner and keeps the transfer histories
+	// that the scan's verdicts do not carry.
+	best := det.Trace(bestTx)
 	fmt.Printf("scanned %d flash loan transactions, %d flagged\n", len(c.Receipts), detected)
 	fmt.Printf("most profitable: %s (~$%.0f swept)\n\n", best.TxHash.Short(), bestUSD)
 

@@ -35,7 +35,7 @@ func main() {
 	det := leishen.NewDetector(result.Env.Chain, result.Env.Registry, leishen.Options{
 		Simplify: leishen.SimplifyOptions{WETH: result.Env.WETH},
 	})
-	rep := det.Inspect(result.Receipt)
+	rep := det.Inspect(result.Receipt, nil)
 	fmt.Println(rep.Summary())
 
 	// The paper's point: volatility is tiny, so the 99%-threshold

@@ -23,11 +23,12 @@ func main() {
 	}
 	fmt.Printf("attack executed: profit %s\n\n", result.ProfitToken.Format(result.Profit))
 
-	// Build a detector over the chain snapshot and inspect the receipt.
+	// Build a detector over the chain snapshot and trace the receipt:
+	// the verdict plus the transfer histories behind it.
 	detector := leishen.NewDetector(result.Env.Chain, result.Env.Registry, leishen.Options{
 		Simplify: leishen.SimplifyOptions{WETH: result.Env.WETH},
 	})
-	report := detector.Inspect(result.Receipt)
+	report := detector.Trace(result.Receipt)
 
 	fmt.Println(report.Summary())
 	fmt.Println()

@@ -32,7 +32,7 @@ func TestScenarioGroundTruth(t *testing.T) {
 			if res.Profit.IsZero() {
 				t.Errorf("attack made no profit")
 			}
-			rep := detectorFor(res).Inspect(res.Receipt)
+			rep := detectorFor(res).Trace(res.Receipt)
 			if len(rep.Loans) == 0 {
 				t.Fatalf("no flash loan identified:\n%s", rep.Detail())
 			}
@@ -139,7 +139,7 @@ func TestMultiProviderAttack(t *testing.T) {
 	}
 
 	det := detectorFor(&Result{Env: env})
-	rep := det.Inspect(r)
+	rep := det.Trace(r)
 	if !rep.IsAttack || len(rep.BorrowerTags) != 1 {
 		t.Fatalf("detection on multi-provider attack:\n%s", rep.Detail())
 	}
@@ -218,7 +218,7 @@ func TestLaunderedProfitStillMerges(t *testing.T) {
 		}
 	}
 	// Detection of the original attack is unaffected.
-	rep := detectorFor(res).Inspect(res.Receipt)
+	rep := detectorFor(res).Trace(res.Receipt)
 	if !rep.IsAttack {
 		t.Fatalf("laundering broke detection:\n%s", rep.Detail())
 	}
@@ -317,7 +317,7 @@ func TestNonPriceManipulationAttacksNotFlagged(t *testing.T) {
 			if len(loans) == 0 {
 				t.Fatal("flash loan not identified")
 			}
-			rep := detectorFor(res).Inspect(res.Receipt)
+			rep := detectorFor(res).Trace(res.Receipt)
 			if rep.IsAttack {
 				t.Fatalf("non-price-manipulation exploit flagged as flpAttack:\n%s", rep.Detail())
 			}

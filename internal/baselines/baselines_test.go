@@ -102,7 +102,7 @@ func TestVolatilityBaselineMissesHarvest(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{})
-	rep := det.Inspect(res.Receipt)
+	rep := det.Inspect(res.Receipt, nil)
 	if !rep.IsAttack {
 		t.Fatal("LeiShen should catch Harvest")
 	}

@@ -60,17 +60,18 @@ func (s *slab[T]) saveOne(v T) *T {
 
 // Arena owns every intermediate buffer of the detection pipeline —
 // extract → tag → simplify → trades → match — plus the slabs that back
-// the escaping report data. A scanning loop keeps one Arena per worker:
-// intermediates are reset (never reallocated) between transactions, and
-// report-owned slices are carved from slab blocks, so the steady-state
-// hot path allocates only when a slab block fills (~1/256th of an
-// allocation per report field) or an intermediate grows past its
-// high-water mark.
+// the escaping report data: the report itself, its loans, borrower
+// tags, trades (with their secondary legs) and matches. A scanning
+// loop keeps one Arena per worker: Inspect resets each intermediate
+// (never reallocated) at its point of use, and report-owned slices are
+// carved from slab blocks, so the steady-state hot path allocates only
+// when a slab block fills (~1/256th of an allocation per report field)
+// or an intermediate grows past its high-water mark.
 //
 // The zero value is ready to use. An Arena is not safe for concurrent
-// use; give each worker its own. Reports returned by InspectScratch own
-// their data (slab regions are never rewritten), so they remain valid
-// after any number of further calls with the same arena.
+// use; give each worker its own. Reports returned by Inspect own their
+// data (slab regions are never rewritten), so they remain valid after
+// any number of further calls with the same arena.
 type Arena struct {
 	// Interned pipeline intermediates.
 	fl      flashloan.Scratch
@@ -88,68 +89,33 @@ type Arena struct {
 
 	// Materialization staging: resolved values are assembled here and
 	// then copied into the slabs in one save.
-	tmpTransfers []types.Transfer
-	tmpApp       []types.AppTransfer
-	tmpTrades    []types.Trade
-	tmpTags      []types.Tag
-	tmpMatches   []Match
+	tmpTrades  []types.Trade
+	tmpTags    []types.Tag
+	tmpMatches []Match
 
 	// Slabs backing report-owned data.
-	reportSlab   slab[Report]
-	loanSlab     slab[flashloan.Loan]
-	transferSlab slab[types.Transfer]
-	appSlab      slab[types.AppTransfer]
-	tradeSlab    slab[types.Trade]
-	legSlab      slab[types.TradeLeg]
-	tagSlab      slab[types.Tag]
-	matchSlab    slab[Match]
-
-	// detail is the reused report-rendering buffer for DetailInto.
-	detail []byte
+	reportSlab slab[Report]
+	loanSlab   slab[flashloan.Loan]
+	tradeSlab  slab[types.Trade]
+	legSlab    slab[types.TradeLeg]
+	tagSlab    slab[types.Tag]
+	matchSlab  slab[Match]
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset discards intermediate buffer contents, keeping capacity. Slabs
-// are not reset — their contents belong to already-returned reports.
-// InspectScratch resets each intermediate at its point of use, so
-// calling Reset between transactions is not required; it exists for
-// callers that want to drop per-transaction state eagerly.
-func (a *Arena) Reset() {
-	a.it = a.it[:0]
-	a.isimp.Reset()
-	a.itrades = a.itrades[:0]
-	a.targets = a.targets[:0]
-	a.run = a.run[:0]
-	a.mbs = a.mbs[:0]
-	a.involvedBuf = a.involvedBuf[:0]
-	a.imatches = a.imatches[:0]
-	a.btags = a.btags[:0]
-}
-
 // Rewind resets the slabs for reuse, so the next reports are carved
 // from the memory the previous ones occupied. It breaks the ownership
-// promise of InspectScratch: every report returned from this arena
-// before the Rewind — its loans, transfers, trades, tags and matches —
-// is overwritten by later calls. Only a caller that is done with every
-// report the arena ever returned (encode, then drop) may rewind it.
+// promise of Inspect: every report returned from this arena before the
+// Rewind — its loans, trades, tags and matches — is overwritten by
+// later calls. Only a caller that is done with every report the arena
+// ever returned (encode, then drop) may rewind it.
 func (a *Arena) Rewind() {
 	a.reportSlab.rewind()
 	a.loanSlab.rewind()
-	a.transferSlab.rewind()
-	a.appSlab.rewind()
 	a.tradeSlab.rewind()
 	a.legSlab.rewind()
 	a.tagSlab.rewind()
 	a.matchSlab.rewind()
-}
-
-// DetailInto renders a report's Detail text into the arena's reused
-// buffer and returns the bytes, valid until the next DetailInto call
-// with the same arena — the zero-allocation form of Report.Detail for
-// steady-state serving and benchmarking.
-func (a *Arena) DetailInto(r *Report) []byte {
-	a.detail = r.AppendDetail(a.detail[:0])
-	return a.detail
 }

@@ -5,9 +5,7 @@ import (
 )
 
 // Append-form report rendering. AppendDetail produces exactly the bytes
-// of the historical fmt-based Detail, but into a caller-owned buffer so
-// steady-state scanning and serving render reports without per-fragment
-// allocations (Arena.DetailInto reuses one buffer across transactions).
+// of the historical fmt-based Detail, into a caller-owned buffer.
 // TestCorpusDetailGolden pins byte equality against an fmt
 // re-rendering (fmtDetail) over a full corpus.
 
@@ -25,19 +23,26 @@ func (m Match) AppendString(dst []byte) []byte {
 	return append(dst, '%', ')')
 }
 
+// Detail renders the full multi-section report the paper's pipeline
+// returns ("a detailed report regarding attack patterns"), transfer
+// histories included. It is the one-shot form of AppendDetail.
+func (t *Trace) Detail() string {
+	return string(t.AppendDetail(nil))
+}
+
 // AppendDetail appends the full multi-section report text (Detail).
-func (r *Report) AppendDetail(dst []byte) []byte {
+func (t *Trace) AppendDetail(dst []byte) []byte {
 	dst = append(dst, "transaction "...)
-	dst = r.TxHash.AppendHex(dst)
+	dst = t.TxHash.AppendHex(dst)
 	dst = append(dst, " (block "...)
-	dst = strconv.AppendUint(dst, r.Block, 10)
+	dst = strconv.AppendUint(dst, t.Block, 10)
 	dst = append(dst, ")\n"...)
 
 	dst = append(dst, "flash loans: "...)
-	dst = strconv.AppendInt(dst, int64(len(r.Loans)), 10)
+	dst = strconv.AppendInt(dst, int64(len(t.Loans)), 10)
 	dst = append(dst, '\n')
-	for i := range r.Loans {
-		l := &r.Loans[i]
+	for i := range t.Loans {
+		l := &t.Loans[i]
 		dst = append(dst, ' ', ' ')
 		dst = append(dst, l.Provider.String()...)
 		dst = append(dst, " lends "...)
@@ -50,37 +55,37 @@ func (r *Report) AppendDetail(dst []byte) []byte {
 	}
 
 	dst = append(dst, "account-level transfers: "...)
-	dst = strconv.AppendInt(dst, int64(len(r.Transfers)), 10)
+	dst = strconv.AppendInt(dst, int64(len(t.Transfers)), 10)
 	dst = append(dst, '\n')
 
 	dst = append(dst, "app-level transfers: "...)
-	dst = strconv.AppendInt(dst, int64(len(r.AppTransfers)), 10)
+	dst = strconv.AppendInt(dst, int64(len(t.AppTransfers)), 10)
 	dst = append(dst, '\n')
-	for i := range r.AppTransfers {
+	for i := range t.AppTransfers {
 		dst = append(dst, ' ', ' ')
-		dst = r.AppTransfers[i].AppendString(dst)
+		dst = t.AppTransfers[i].AppendString(dst)
 		dst = append(dst, '\n')
 	}
 
 	dst = append(dst, "trades: "...)
-	dst = strconv.AppendInt(dst, int64(len(r.Trades)), 10)
+	dst = strconv.AppendInt(dst, int64(len(t.Trades)), 10)
 	dst = append(dst, '\n')
-	for i := range r.Trades {
+	for i := range t.Trades {
 		dst = append(dst, ' ', ' ')
-		dst = r.Trades[i].AppendString(dst)
+		dst = t.Trades[i].AppendString(dst)
 		dst = append(dst, '\n')
 	}
 
 	dst = append(dst, "matches: "...)
-	dst = strconv.AppendInt(dst, int64(len(r.Matches)), 10)
+	dst = strconv.AppendInt(dst, int64(len(t.Matches)), 10)
 	dst = append(dst, '\n')
-	for i := range r.Matches {
+	for i := range t.Matches {
 		dst = append(dst, ' ', ' ')
-		dst = r.Matches[i].AppendString(dst)
+		dst = t.Matches[i].AppendString(dst)
 		dst = append(dst, '\n')
 	}
 
 	dst = append(dst, "verdict: attack="...)
-	dst = strconv.AppendBool(dst, r.IsAttack)
+	dst = strconv.AppendBool(dst, t.IsAttack)
 	return append(dst, '\n')
 }

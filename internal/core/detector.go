@@ -45,7 +45,9 @@ func (o Options) thresholds() Thresholds {
 	return o.Thresholds
 }
 
-// Report is the detector's verdict for one transaction.
+// Report is the detector's verdict for one transaction: the verdict and
+// what the wire form carries. The transfer histories the pipeline builds
+// on the way are forensic evidence; Detector.Trace returns them.
 type Report struct {
 	// TxHash identifies the transaction.
 	TxHash types.Hash
@@ -59,10 +61,6 @@ type Report struct {
 	// BorrowerTags are the distinct application tags of the loan
 	// borrowers.
 	BorrowerTags []types.Tag
-	// Transfers is the account-level transfer history.
-	Transfers []types.Transfer
-	// AppTransfers is the simplified application-level history.
-	AppTransfers []types.AppTransfer
 	// Trades is the identified trade list.
 	Trades []types.Trade
 	// Matches are the detected attack pattern instances.
@@ -129,14 +127,6 @@ func (r *Report) Summary() string {
 	return fmt.Sprintf("%s: flpAttack [%s]", r.TxHash.Short(), strings.Join(kinds, "; "))
 }
 
-// Detail renders the full multi-section report the paper's pipeline
-// returns ("a detailed report regarding attack patterns"). It is the
-// one-shot convenience form of AppendDetail; steady-state callers use
-// Arena.DetailInto to reuse one rendering buffer across transactions.
-func (r *Report) Detail() string {
-	return string(r.AppendDetail(nil))
-}
-
 // Detector is the LeiShen pipeline: flash loan identification → transfer
 // extraction → tagging → simplification → trade identification → pattern
 // matching.
@@ -175,23 +165,18 @@ func (d *Detector) Tagger() *tagging.Tagger { return d.tagger }
 // Interner exposes the token interner whose ids MatchTrades resolves.
 func (d *Detector) Interner() *trace.Interner { return d.interner }
 
-// Inspect runs the full pipeline on one receipt.
-func (d *Detector) Inspect(r *evm.Receipt) *Report {
-	return d.InspectScratch(r, nil)
-}
-
-// InspectScratch is Inspect with a caller-owned Arena backing the
+// Inspect runs the full pipeline on one receipt. The arena backs the
 // pipeline's intermediates and the report's data, so a scanning loop
 // that reuses one Arena per goroutine inspects transactions with near
-// zero allocations. A nil arena allocates a fresh one (plain Inspect).
-// The returned report owns all of its data — slab regions are carved
-// once and never rewritten — and is valid after any number of further
-// calls with the same arena.
+// zero allocations; a nil arena allocates a fresh one. The returned
+// report owns all of its data — slab regions are carved once and never
+// rewritten — and is valid after any number of further calls with the
+// same arena.
 //
 // The pipeline runs on interned tuples throughout (tag and token
 // identities as integer ids) and resolves ids back to the full structs
 // only here, at report materialization.
-func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
+func (d *Detector) Inspect(r *evm.Receipt, s *Arena) *Report {
 	if s == nil {
 		s = NewArena()
 	}
@@ -209,37 +194,11 @@ func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 
 	// Step 1: transfer history extraction (§V-A), interned.
 	s.it = trace.ExtractInterned(s.it[:0], d.interner, r)
-	s.tmpTransfers = s.tmpTransfers[:0]
-	for i := range s.it {
-		t := &s.it[i]
-		s.tmpTransfers = append(s.tmpTransfers, types.Transfer{
-			Seq:      t.Seq,
-			Sender:   t.Sender,
-			Receiver: t.Receiver,
-			Amount:   t.Amount,
-			Token:    d.interner.Token(t.Token),
-		})
-	}
-	rep.Transfers = s.transferSlab.save(s.tmpTransfers)
 
 	// Step 2: application-level construction (§V-B): tag ids in place,
 	// then simplify over the interned tuples.
 	d.tagger.TagTransferIDs(s.it)
 	app := simplify.SimplifyInterned(s.it, d.irules, &s.isimp)
-	s.tmpApp = s.tmpApp[:0]
-	for i := range app {
-		t := &app[i]
-		s.tmpApp = append(s.tmpApp, types.AppTransfer{
-			Seq:           t.Seq,
-			Sender:        d.tagger.ResolveTag(t.SenderTag),
-			Receiver:      d.tagger.ResolveTag(t.ReceiverTag),
-			FromBlackHole: t.FromBlackHole,
-			ToBlackHole:   t.ToBlackHole,
-			Amount:        t.Amount,
-			Token:         d.interner.Token(t.Token),
-		})
-	}
-	rep.AppTransfers = s.appSlab.save(s.tmpApp)
 
 	// Step 3a: trade identification (Table III), interned.
 	s.itrades = trades.IdentifyInterned(s.itrades[:0], app)
@@ -273,12 +232,55 @@ func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 	return rep
 }
 
+// Trace is a report together with the two transfer histories behind its
+// verdict: the forensic evidence (§V-A, §V-B; the paper's Fig. 6 money
+// flow) that the verdict and its wire form do not carry.
+type Trace struct {
+	*Report
+	// Transfers is the account-level transfer history.
+	Transfers []types.Transfer
+	// AppTransfers is the simplified application-level history.
+	AppTransfers []types.AppTransfer
+}
+
+// Trace inspects r on a fresh arena and resolves the histories the
+// pipeline leaves there: the extracted transfers and the simplifier's
+// output. Both stay empty for a receipt without flash loans, which the
+// pipeline never extracts.
+func (d *Detector) Trace(r *evm.Receipt) *Trace {
+	a := NewArena()
+	t := &Trace{Report: d.Inspect(r, a)}
+	for i := range a.it {
+		it := &a.it[i]
+		t.Transfers = append(t.Transfers, types.Transfer{
+			Seq:      it.Seq,
+			Sender:   it.Sender,
+			Receiver: it.Receiver,
+			Amount:   it.Amount,
+			Token:    d.interner.Token(it.Token),
+		})
+	}
+	for i := range a.isimp.A {
+		at := &a.isimp.A[i]
+		t.AppTransfers = append(t.AppTransfers, types.AppTransfer{
+			Seq:           at.Seq,
+			Sender:        d.tagger.ResolveTag(at.SenderTag),
+			Receiver:      d.tagger.ResolveTag(at.ReceiverTag),
+			FromBlackHole: at.FromBlackHole,
+			ToBlackHole:   at.ToBlackHole,
+			Amount:        at.Amount,
+			Token:         d.interner.Token(at.Token),
+		})
+	}
+	return t
+}
+
 // MatchTrades runs the KRP, SBS and MBS matchers of §IV-B over an
 // interned trade list once per borrower tag, with the detector's
 // thresholds, and returns the matches materialized on the arena (nil
 // allocates a fresh one). Tag and token ids must come from the
 // detector's Tagger and Interner; borrowers must be distinct. This is
-// the one matcher: InspectScratch calls it on the trades it identified,
+// the one matcher: Inspect calls it on the trades it identified,
 // and the Explorer baseline on the trades explorers show.
 func (d *Detector) MatchTrades(trades []types.ITrade, borrowers []types.TagID, a *Arena) []Match {
 	if a == nil {

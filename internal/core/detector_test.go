@@ -90,7 +90,7 @@ func TestDetectorEndToEndMBS(t *testing.T) {
 	f := newDetectorFixture(t)
 	r := f.fireRebalance(t)
 	det := f.detector(Options{})
-	rep := det.Inspect(r)
+	rep := det.Trace(r)
 
 	if len(rep.Loans) != 1 {
 		t.Fatalf("loans = %v", rep.Loans)
@@ -122,7 +122,7 @@ func TestDetectorHeuristicSuppressesAggregator(t *testing.T) {
 		YieldAggregatorHeuristic: true,
 		YieldAggregatorApps:      map[string]bool{"Harvest": true},
 	})
-	rep := det.Inspect(r)
+	rep := det.Trace(r)
 	if rep.IsAttack {
 		t.Fatalf("heuristic did not suppress:\n%s", rep.Detail())
 	}
@@ -137,7 +137,7 @@ func TestDetectorHeuristicSuppressesAggregator(t *testing.T) {
 		YieldAggregatorHeuristic: true,
 		YieldAggregatorApps:      map[string]bool{"Yearn": true},
 	})
-	if rep := det.Inspect(r); !rep.IsAttack {
+	if rep := det.Inspect(r, nil); !rep.IsAttack {
 		t.Error("suppressed a non-listed app")
 	}
 }
@@ -149,7 +149,7 @@ func TestDetectorNonFlashLoanTx(t *testing.T) {
 	sender := f.ch.NewEOA("")
 	r := f.ch.Send(sender, f.usdc.Address, "transfer", holder, uint256.Zero())
 	det := f.detector(Options{})
-	rep := det.Inspect(r)
+	rep := det.Trace(r)
 	if len(rep.Loans) != 0 || rep.IsAttack {
 		t.Errorf("rep = %+v", rep)
 	}
@@ -167,7 +167,7 @@ func TestDetectorExcludedLabels(t *testing.T) {
 	// Excluding the operator's label demotes the borrower tag to a root
 	// tag; detection still works (the trades carry the same root tag).
 	det := f.detector(Options{ExcludedLabelAccounts: []types.Address{f.operator, f.strategy}})
-	rep := det.Inspect(r)
+	rep := det.Trace(r)
 	if len(rep.BorrowerTags) != 1 {
 		t.Fatalf("tags = %v", rep.BorrowerTags)
 	}
@@ -189,7 +189,7 @@ func TestDetectorThresholdOverrides(t *testing.T) {
 		SBSAmountToleranceBps: 10,
 		MBSMinRounds:          4,
 	}})
-	if rep := det.Inspect(r); rep.IsAttack {
+	if rep := det.Trace(r); rep.IsAttack {
 		t.Errorf("4-round MBS threshold should miss a 3-round attack:\n%s", rep.Detail())
 	}
 }

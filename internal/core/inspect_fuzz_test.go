@@ -74,9 +74,10 @@ func extreme(arg int) uint256.Int {
 // dropped, duplicated or reordered, a log's Addrs or Amounts truncated,
 // amounts set to zero or the maximum uint256. Whatever the receipt,
 // detection must not panic, must be a pure function of the receipt (a
-// fresh arena and a reused, rewound one give identical wire JSON and
-// Detail bytes), and the report must survive a DecodeReportJSON round
-// trip unchanged.
+// fresh arena, which Trace uses, and a reused, rewound one give
+// identical wire JSON and trade text), the trace's Detail must equal
+// the fmt rendering, and the report must survive a DecodeReportJSON
+// round trip unchanged.
 func FuzzInspect(f *testing.F) {
 	c := referenceCorpus(f)
 	tick := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -91,7 +92,7 @@ func FuzzInspect(f *testing.F) {
 		if seeds == 3 {
 			break
 		}
-		if !det.Inspect(r).IsAttack {
+		if !det.Inspect(r, nil).IsAttack {
 			continue
 		}
 		seeds++
@@ -101,19 +102,19 @@ func FuzzInspect(f *testing.F) {
 	reused := core.NewArena()
 	f.Fuzz(func(t *testing.T, pick uint16, ops []byte) {
 		r := mutateReceipt(c.Receipts[int(pick)%len(c.Receipts)], ops)
-		fresh := det.InspectScratch(r, core.NewArena())
+		fresh := det.Trace(r)
 		reused.Rewind()
-		again := det.InspectScratch(r, reused)
+		again := det.Inspect(r, reused)
 
 		raw, err := fresh.AppendJSON(nil)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if rawAgain, err := again.AppendJSON(nil); err != nil || !bytes.Equal(rawAgain, raw) {
-			t.Fatalf("reused arena diverges (err %v):\nfresh:  %s\nreused: %s", err, raw, rawAgain)
+		if b, bAgain := reportBytes(t, fresh.Report), reportBytes(t, again); b != bAgain {
+			t.Fatalf("reused arena diverges:\nfresh:  %s\nreused: %s", b, bAgain)
 		}
-		if d, dAgain := fresh.Detail(), again.Detail(); d != dAgain {
-			t.Fatalf("reused arena Detail diverges:\nfresh:\n%s\nreused:\n%s", d, dAgain)
+		if d, want := fresh.Detail(), fmtDetail(fresh); d != want {
+			t.Fatalf("Detail diverges from fmt:\n got:\n%s\nwant:\n%s", d, want)
 		}
 		dec, err := core.DecodeReportJSON(raw)
 		if err != nil {

@@ -36,7 +36,7 @@ func referenceCorpus(tb testing.TB) *world.Corpus {
 
 // fmtDetail is the historical fmt-based Detail rendering, preserved
 // verbatim as the reference for AppendDetail's bytes.
-func fmtDetail(r *core.Report) string {
+func fmtDetail(r *core.Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "transaction %s (block %d)\n", r.TxHash, r.Block)
 	fmt.Fprintf(&b, "flash loans: %d\n", len(r.Loans))
@@ -60,11 +60,22 @@ func fmtDetail(r *core.Report) string {
 	return b.String()
 }
 
-func mustJSON(tb testing.TB, rep *core.Report) string {
+// reportBytes renders everything a report holds: its wire JSON, then
+// the text of each trade and each match's trades, which carry the
+// secondary legs the wire form drops.
+func reportBytes(tb testing.TB, rep *core.Report) string {
 	tb.Helper()
 	out, err := json.Marshal(rep)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	for _, tr := range rep.Trades {
+		out = tr.AppendString(append(out, '\n'))
+	}
+	for _, m := range rep.Matches {
+		for _, tr := range m.Trades {
+			out = tr.AppendString(append(out, '\n'))
+		}
 	}
 	return string(out)
 }
@@ -84,16 +95,16 @@ func TestArenaReportsSurviveReuse(t *testing.T) {
 	reports := make([]*core.Report, len(c.Receipts))
 	first := make([]string, len(c.Receipts))
 	for i, r := range c.Receipts {
-		reports[i] = det.InspectScratch(r, arena)
-		first[i] = mustJSON(t, reports[i]) + reports[i].Detail()
+		reports[i] = det.Inspect(r, arena)
+		first[i] = reportBytes(t, reports[i])
 	}
 	// Second full pass through the same arena must not disturb the
 	// reports returned by the first.
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, arena)
+		det.Inspect(r, arena)
 	}
 	for i, rep := range reports {
-		if got := mustJSON(t, rep) + rep.Detail(); got != first[i] {
+		if got := reportBytes(t, rep); got != first[i] {
 			t.Fatalf("report %d mutated by arena reuse:\n got: %s\nwant: %s", i, got, first[i])
 		}
 	}

@@ -19,11 +19,12 @@ import (
 const corpusReportDigest = "52c9081c8ddebbfd1388e0db4ccd41da6f5d5f254a37b60f4dfcf0d68723e953"
 
 // corpusDetailDigest is the SHA-256 of every seed-7, scale-1 corpus
-// report's fmtDetail text, one per line, as the string-typed pipeline
+// receipt's fmtDetail text, one per line, as the string-typed pipeline
 // (extract → tag → simplify → trades → match on Tag/Token values)
-// rendered it before the interned pipeline replaced it. Detail carries
-// the application-level transfers and the trade list, which the wire
-// JSON does not, so this pins every pipeline stage's output.
+// rendered it before the interned pipeline replaced it. Detail (through
+// Detector.Trace) carries the application-level transfers and the trade
+// list, which the wire JSON does not, so this pins every pipeline
+// stage's output.
 const corpusDetailDigest = "1df29dcfbf7f7469cd37264d2da786ec44cd7f17fa9305f4563665dec09eb9e3"
 
 // corpusReports inspects every corpus receipt with a fixed clock.
@@ -36,7 +37,7 @@ func corpusReports(tb testing.TB) []*core.Report {
 	})
 	reports := make([]*core.Report, len(c.Receipts))
 	for i, r := range c.Receipts {
-		reports[i] = det.Inspect(r)
+		reports[i] = det.Inspect(r, nil)
 	}
 	return reports
 }
@@ -97,11 +98,9 @@ func TestReportAppendJSONGolden(t *testing.T) {
 	}
 }
 
-// TestCorpusDetailGolden inspects the whole corpus through one reused
-// arena, the way a scanning worker does, and pins the fmtDetail text of
-// every report to corpusDetailDigest. Each report's AppendDetail bytes,
-// through Detail and the arena's reused DetailInto buffer, must also
-// equal the fmt rendering.
+// TestCorpusDetailGolden traces every corpus receipt and pins the
+// fmtDetail text of every trace to corpusDetailDigest. Each trace's
+// Detail bytes must also equal the fmt rendering.
 func TestCorpusDetailGolden(t *testing.T) {
 	c := referenceCorpus(t)
 	tick := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -110,16 +109,12 @@ func TestCorpusDetailGolden(t *testing.T) {
 		Clock:    func() time.Time { return tick },
 	})
 	h := sha256.New()
-	arena := core.NewArena()
 	attacks, flashLoans := 0, 0
 	for i, r := range c.Receipts {
-		rep := det.InspectScratch(r, arena)
+		rep := det.Trace(r)
 		want := fmtDetail(rep)
 		if got := rep.Detail(); got != want {
 			t.Fatalf("receipt %d (%s): Detail diverges from fmt\n got:\n%s\nwant:\n%s", i, r.TxHash.Short(), got, want)
-		}
-		if got := string(arena.DetailInto(rep)); got != want {
-			t.Fatalf("receipt %d (%s): DetailInto diverges from fmt", i, r.TxHash.Short())
 		}
 		h.Write([]byte(want))
 		h.Write([]byte{'\n'})

@@ -29,7 +29,7 @@ func TestReportDeterminism(t *testing.T) {
 			Simplify: simplify.Options{WETH: res.Env.WETH},
 			Clock:    func() time.Time { return tick },
 		})
-		rep := det.Inspect(res.Receipt)
+		rep := det.Trace(res.Receipt)
 		out, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func RunTable1() ([]Table1Row, error) {
 		det := core.NewDetector(res.Env.Chain, res.Env.Registry, core.Options{
 			Simplify: simplify.Options{WETH: res.Env.WETH},
 		})
-		rep := det.Inspect(res.Receipt)
+		rep := det.Inspect(res.Receipt, nil)
 		pair, vol := dominantVolatility(rep)
 		var pats []string
 		for _, p := range sc.Patterns {
@@ -97,7 +97,7 @@ func RunTable4() ([]Table4Row, error) {
 			ID: sc.ID, Name: sc.Name,
 			DeFiRanger: dfr.Detect(res.Receipt),
 			Explorer:   len(exp.Detect(res.Receipt)) > 0,
-			LeiShen:    ls.Inspect(res.Receipt).IsAttack,
+			LeiShen:    ls.Inspect(res.Receipt, nil).IsAttack,
 			WantDFR:    sc.DeFiRanger, WantExp: sc.Explorer, WantLS: sc.LeiShen,
 		})
 	}
@@ -287,12 +287,14 @@ func perfStats(ls []time.Duration) PerfStats {
 	for _, d := range sorted {
 		total += d
 	}
+	// Float µs from nanoseconds: detection takes a few µs, so whole-µs
+	// truncation would hide most of the spread.
+	micros := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	at := func(q float64) float64 {
-		idx := int(q * float64(len(sorted)-1))
-		return float64(sorted[idx].Microseconds())
+		return micros(sorted[int(q*float64(len(sorted)-1))])
 	}
 	return PerfStats{
-		MeanMicros: float64(total.Microseconds()) / float64(len(sorted)),
+		MeanMicros: micros(total) / float64(len(sorted)),
 		P50Micros:  at(0.50),
 		P75Micros:  at(0.75),
 		P99Micros:  at(0.99),

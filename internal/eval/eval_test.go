@@ -2,6 +2,7 @@ package eval
 
 import (
 	"testing"
+	"time"
 
 	"leishen/internal/world"
 )
@@ -121,6 +122,16 @@ func TestEvalCorpusTables(t *testing.T) {
 	}
 	if res.Perf.Count != len(c.Receipts) || res.Perf.MeanMicros <= 0 {
 		t.Errorf("perf = %+v", res.Perf)
+	}
+}
+
+// TestPerfStatsSubMicrosecond pins the latency summary to nanosecond
+// input: detection takes a few µs, so the figures keep their fraction.
+func TestPerfStatsSubMicrosecond(t *testing.T) {
+	got := perfStats([]time.Duration{2500, 700, 1300, 900})
+	want := PerfStats{MeanMicros: 1.35, P50Micros: 0.9, P75Micros: 1.3, P99Micros: 1.3, Count: 4}
+	if got != want {
+		t.Fatalf("perfStats = %+v, want %+v", got, want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestDetailGolden pins the exact text of Report.Detail() for the
+// TestDetailGolden pins the exact text of Trace.Detail() for the
 // Harvest Finance reproduction. The detail report is user-facing CLI
 // output and feeds incident write-ups; any change to its wording or to
 // the pipeline's intermediate counts must show up as a reviewed golden
@@ -35,7 +35,7 @@ func TestDetailGolden(t *testing.T) {
 		Simplify: simplify.Options{WETH: res.Env.WETH},
 		Clock:    func() time.Time { return frozen },
 	})
-	got := det.Inspect(res.Receipt).Detail()
+	got := det.Trace(res.Receipt).Detail()
 
 	golden := filepath.Join("testdata", "harvest_detail.golden")
 	if *update {

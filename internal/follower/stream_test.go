@@ -173,6 +173,9 @@ func TestCloseStopsStream(t *testing.T) {
 	c := seedWorld(t)
 	det := worldDetector(c, nil, frozenClock)
 	for _, steps := range []int{0, 3} {
+		if n := settledStreamWorkers(); n > 0 {
+			t.Fatalf("%d stream workers of an earlier stream still running", n)
+		}
 		arc := memArchive(t)
 		f, err := New(ChainSource(c.Env.Chain), det, arc, Options{Scan: scan.Options{Workers: 4}})
 		if err != nil {
@@ -189,18 +192,24 @@ func TestCloseStopsStream(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// A joined worker may still be between wg.Done and its exit.
-		deadline := time.Now().Add(5 * time.Second)
-		for streamWorkers() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := streamWorkers(); n > 0 {
+		if n := settledStreamWorkers(); n > 0 {
 			t.Fatalf("after %d steps: %d stream workers outlived Close", steps, n)
 		}
 		if err := arc.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// settledStreamWorkers waits up to 5 s for the stream workers to exit
+// and returns how many are left: a joined worker may still be between
+// wg.Done and its exit.
+func settledStreamWorkers() int {
+	deadline := time.Now().Add(5 * time.Second)
+	for streamWorkers() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return streamWorkers()
 }
 
 // streamWorkers counts the live goroutines a scan stream started.

@@ -72,33 +72,12 @@ func TestInspectAllocBudget(t *testing.T) {
 	arena := core.NewArena()
 	warm := func() {
 		for _, r := range c.Receipts {
-			det.InspectScratch(r, arena)
+			det.Inspect(r, arena)
 		}
 	}
 	warm() // grow buffers and intern tables to their high-water marks
 	perTx := testing.AllocsPerRun(3, warm) / float64(len(c.Receipts))
 	if perTx > 2.0 {
 		t.Errorf("steady-state allocations = %.3f per tx, budget is 2.0", perTx)
-	}
-}
-
-// TestDetailIntoAllocFree pins the reused-buffer Detail rendering to
-// zero steady-state allocations.
-func TestDetailIntoAllocFree(t *testing.T) {
-	c := testCorpus(t)
-	det := frozenDetector(c)
-	arena := core.NewArena()
-	reps := make([]*core.Report, 0, len(c.Receipts))
-	for _, r := range c.Receipts {
-		reps = append(reps, det.InspectScratch(r, arena))
-	}
-	render := func() {
-		for _, rep := range reps {
-			arena.DetailInto(rep)
-		}
-	}
-	render() // size the buffer to the largest report
-	if allocs := testing.AllocsPerRun(5, render); allocs > 0 {
-		t.Errorf("DetailInto allocated %.1f times per corpus pass, want 0", allocs)
 	}
 }

@@ -57,11 +57,11 @@ func BenchmarkScanAllocs(b *testing.B) {
 	scratch := core.NewArena()
 	// Warm the scratch to steady-state capacity.
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, scratch)
+		det.Inspect(r, scratch)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.InspectScratch(c.Receipts[i%len(c.Receipts)], scratch)
+		det.Inspect(c.Receipts[i%len(c.Receipts)], scratch)
 	}
 }

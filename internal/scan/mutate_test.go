@@ -94,7 +94,7 @@ func TestStreamEachMutatedReceipts(t *testing.T) {
 		original = make(map[string]bool, len(c.Receipts))
 	)
 	for _, r := range c.Receipts {
-		raw, err := det.Inspect(r).AppendJSON(nil)
+		raw, err := det.Inspect(r, nil).AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -209,7 +209,7 @@ func inspectSafe(det *core.Detector, r *evm.Receipt, scratch **core.Arena, m *Me
 			rep = core.ErrorReport(r, fmt.Sprintf("detector panic: %v", p))
 		}
 	}()
-	return det.InspectScratch(r, *scratch)
+	return det.Inspect(r, *scratch)
 }
 
 // Scan inspects every receipt and returns the reports in input order,

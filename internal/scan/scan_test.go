@@ -42,15 +42,24 @@ func frozenDetector(c *world.Corpus) *core.Detector {
 	})
 }
 
-// reportBytes renders a report's two user-visible forms: the JSON wire
-// form and the Detail text.
+// reportBytes renders everything a report holds: its wire JSON, then
+// the text of each trade and each match's trades, which carry the
+// secondary legs the wire form drops.
 func reportBytes(t *testing.T, rep *core.Report) string {
 	t.Helper()
 	out, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(out) + rep.Detail()
+	for _, tr := range rep.Trades {
+		out = tr.AppendString(append(out, '\n'))
+	}
+	for _, m := range rep.Matches {
+		for _, tr := range m.Trades {
+			out = tr.AppendString(append(out, '\n'))
+		}
+	}
+	return string(out)
 }
 
 // TestScanDeterminism is the engine's core guarantee: a parallel scan's
@@ -64,7 +73,7 @@ func TestScanDeterminism(t *testing.T) {
 	want := make([]string, len(c.Receipts))
 	var wantSum scan.Summary
 	for i, r := range c.Receipts {
-		rep := det.Inspect(r)
+		rep := det.Inspect(r, nil)
 		want[i] = reportBytes(t, rep)
 		wantSum.Inspected++
 		if len(rep.Loans) > 0 {

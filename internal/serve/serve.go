@@ -436,7 +436,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown transaction "+raw)
 		return
 	}
-	rep := s.det.Inspect(receipt)
+	rep := s.det.Inspect(receipt, nil)
 	s.observe(rep)
 	rb := getRespBuf()
 	rb.b, err = rep.AppendJSON(rb.b)
@@ -461,7 +461,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		if !flashloan.HasMarker(receipt) {
 			continue
 		}
-		rep := s.det.Inspect(receipt)
+		rep := s.det.Inspect(receipt, nil)
 		if len(rep.Loans) == 0 {
 			continue
 		}

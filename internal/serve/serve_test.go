@@ -283,7 +283,7 @@ func TestBlockScreen(t *testing.T) {
 		reports := make([]core.ReportJSON, 0, 4)
 		for _, r := range blk.Receipts {
 			if r.Success && flashloan.IsFlashLoanTx(r) {
-				reports = append(reports, det.Inspect(r).JSON())
+				reports = append(reports, det.Inspect(r, nil).JSON())
 			}
 		}
 		var want bytes.Buffer

@@ -67,7 +67,9 @@ type InternedRules struct {
 }
 
 // IScratch holds the ping-pong buffers of interned simplification.
-// The zero value is ready to use; not safe for concurrent use.
+// SimplifyInterned always leaves its result in A (Detector.Trace reads
+// it there). The zero value is ready to use; not safe for concurrent
+// use.
 type IScratch struct {
 	A, B []types.ITransfer
 }

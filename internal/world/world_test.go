@@ -50,7 +50,7 @@ func TestTableVWildDetection(t *testing.T) {
 	detected, trueDetected := 0, 0
 
 	for _, r := range c.Receipts {
-		rep := det.Inspect(r)
+		rep := det.Inspect(r, nil)
 		truth := c.Truth[r.TxHash]
 		if truth == nil {
 			t.Fatalf("missing truth for %s", r.TxHash.Short())
@@ -67,7 +67,7 @@ func TestTableVWildDetection(t *testing.T) {
 		for _, k := range []core.PatternKind{core.PatternKRP, core.PatternSBS, core.PatternMBS} {
 			if got[k] != want[k] {
 				t.Fatalf("tx %s kind=%d app=%s: pattern %s detected=%v want %v\n%s",
-					r.TxHash.Short(), truth.Kind, truth.App, k, got[k], want[k], rep.Detail())
+					r.TxHash.Short(), truth.Kind, truth.App, k, got[k], want[k], det.Trace(r).Detail())
 			}
 		}
 		if !rep.IsAttack {
@@ -120,7 +120,7 @@ func TestYieldAggregatorHeuristic(t *testing.T) {
 
 	var n, tp int
 	for _, r := range c.Receipts {
-		rep := det.Inspect(r)
+		rep := det.Inspect(r, nil)
 		if !rep.IsAttack || !rep.HasPattern(core.PatternMBS) {
 			continue
 		}
@@ -148,7 +148,7 @@ func TestYieldAggregatorHeuristic(t *testing.T) {
 		if truth.Kind != KindAttack {
 			continue
 		}
-		if rep := det.Inspect(r); !rep.IsAttack {
+		if rep := det.Inspect(r, nil); !rep.IsAttack {
 			t.Fatalf("heuristic suppressed a true attack: %s (%s)", r.TxHash.Short(), truth.App)
 		}
 	}

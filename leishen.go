@@ -16,7 +16,7 @@
 //	det := leishen.NewDetector(chain, registry, leishen.Options{
 //	    Simplify: leishen.SimplifyOptions{WETH: weth},
 //	})
-//	report := det.Inspect(receipt)
+//	report := det.Inspect(receipt, nil)
 //	if report.IsAttack {
 //	    fmt.Println(report.Summary())
 //	}

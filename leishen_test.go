@@ -24,7 +24,7 @@ func TestFacadeDetectsKnownAttack(t *testing.T) {
 	det := leishen.NewDetector(res.Env.Chain, res.Env.Registry, leishen.Options{
 		Simplify: leishen.SimplifyOptions{WETH: res.Env.WETH},
 	})
-	rep := det.Inspect(res.Receipt)
+	rep := det.Trace(res.Receipt)
 	if !rep.IsAttack || !rep.HasPattern(leishen.PatternSBS) {
 		t.Fatalf("facade detection failed:\n%s", rep.Detail())
 	}
